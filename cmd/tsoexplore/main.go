@@ -19,12 +19,10 @@
 // frontier is written atomically (temp file + rename) to
 // PREFIX-<phase>.ckpt in the binary frontier wire format the tsoserve
 // spool uses; rerunning the same command resumes it (and deletes the
-// file once the phase completes). Legacy PREFIX-<phase>.json spools from
-// the JSON-checkpoint era still resume; if both files exist the run
-// refuses with an ambiguity error rather than guessing, and a checkpoint
-// whose embedded phase label does not match the phase resolving to its
-// path (a prefix collision) is rejected rather than silently folded into
-// the wrong experiment.
+// file once the phase completes). A checkpoint in any other wire format
+// or version is refused, and so is one whose embedded phase label does
+// not match the phase resolving to its path (a prefix collision), rather
+// than being silently folded into the wrong experiment.
 //
 // Usage:
 //
@@ -220,48 +218,34 @@ func sbOutcomes(cfg tso.Config, runs int, fenced bool) {
 	sbTable(set.Counts, fenced)
 }
 
-// spoolPaths maps a checkpoint prefix and phase name to the phase's two
-// possible spool files: the binary-format path every new spool uses and
-// the legacy JSON-era path old spools may still sit at.
-func spoolPaths(prefix, phase string) (ckpt, legacy string) {
-	base := prefix + "-" + phase
-	return base + ".ckpt", base + ".json"
+// spoolPath maps a checkpoint prefix and phase name to the phase's spool
+// file.
+func spoolPath(prefix, phase string) string {
+	return prefix + "-" + phase + ".ckpt"
 }
 
-// loadCheckpoint resolves a phase's spooled frontier, if any. It accepts
-// either wire format (the package decoder sniffs), refuses to guess when
-// both the binary and the legacy file exist, and rejects checkpoints that
-// are incompatible with the machine or options — including a phase label
-// that disagrees with the phase this path resolved to, which is what a
-// prefix collision between two phases looks like on disk. A nil
-// checkpoint with a nil error means there is nothing to resume.
+// loadCheckpoint resolves a phase's spooled frontier, if any, and rejects
+// checkpoints that are incompatible with the machine or options —
+// including a phase label that disagrees with the phase this path
+// resolved to, which is what a prefix collision between two phases looks
+// like on disk. A nil checkpoint with a nil error means there is nothing
+// to resume.
 func loadCheckpoint(prefix, phase string, cfg tso.Config, opts tso.ExhaustiveOptions) (*tso.Checkpoint, error) {
-	ckpt, legacy := spoolPaths(prefix, phase)
-	var have []string
-	for _, p := range []string{ckpt, legacy} {
-		if _, err := os.Stat(p); err == nil {
-			have = append(have, p)
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("checkpoint %s: %w", p, err)
-		}
-	}
-	switch len(have) {
-	case 0:
+	path := spoolPath(prefix, phase)
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
 		return nil, nil
-	case 2:
-		return nil, fmt.Errorf("ambiguous checkpoint for phase %s: both %s and %s exist; remove the stale one", phase, ckpt, legacy)
 	}
-	f, err := os.Open(have[0])
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", have[0], err)
+		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	defer f.Close()
-	cp, err := tso.DecodeCheckpoint(f)
+	cp, err := (tso.BinaryCodec{}).DecodeCheckpoint(f)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", have[0], err)
+		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	if err := cp.CompatibleWithOptions(cfg, opts); err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w (prefix collision between phases?)", have[0], err)
+		return nil, fmt.Errorf("checkpoint %s: %w (prefix collision between phases?)", path, err)
 	}
 	return cp, nil
 }
@@ -270,15 +254,14 @@ func loadCheckpoint(prefix, phase string, cfg tso.Config, opts tso.ExhaustiveOpt
 // encoded to a temp file in the destination directory and renamed over
 // the final path, so an interrupted write can never leave a truncated
 // checkpoint where the next run would trust it (os.Rename replaces the
-// destination on every supported platform). A superseded legacy JSON
-// spool is removed so the next resume is unambiguous.
+// destination on every supported platform).
 func writeCheckpoint(prefix, phase string, cp *tso.Checkpoint) error {
-	ckpt, legacy := spoolPaths(prefix, phase)
+	ckpt := spoolPath(prefix, phase)
 	tmp, err := os.CreateTemp(filepath.Dir(ckpt), filepath.Base(ckpt)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if err := cp.Encode(tmp); err != nil {
+	if err := (tso.BinaryCodec{}).EncodeCheckpoint(tmp, cp); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("checkpoint %s: %w", ckpt, err)
@@ -291,19 +274,13 @@ func writeCheckpoint(prefix, phase string, cp *tso.Checkpoint) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Remove(legacy); err != nil && !os.IsNotExist(err) {
-		return err
-	}
 	return nil
 }
 
-// clearCheckpoint removes a completed phase's spool files, both formats.
+// clearCheckpoint removes a completed phase's spool file.
 func clearCheckpoint(prefix, phase string) error {
-	ckpt, legacy := spoolPaths(prefix, phase)
-	for _, p := range []string{ckpt, legacy} {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return err
-		}
+	if err := os.Remove(spoolPath(prefix, phase)); err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	return nil
 }
@@ -386,9 +363,8 @@ func sbExhaustive(ctx context.Context, cfg tso.Config, fenced bool, par int, pru
 		if err := writeCheckpoint(ckptPrefix, phase, res.Checkpoint); err != nil {
 			return false, err
 		}
-		ckptFile, _ := spoolPaths(ckptPrefix, phase)
 		fmt.Printf("interrupted %s after %d runs; frontier (%d units) spooled to %s\n",
-			phase, res.Checkpoint.Runs, len(res.Checkpoint.Units), ckptFile)
+			phase, res.Checkpoint.Runs, len(res.Checkpoint.Units), spoolPath(ckptPrefix, phase))
 		return false, nil
 	}
 	if ckptPrefix != "" {

@@ -40,7 +40,7 @@ func TestSpoolAtomicBinaryWriteAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ckptPath, legacyPath := spoolPaths(prefix, "sb")
+	ckptPath := spoolPath(prefix, "sb")
 	raw, err := os.ReadFile(ckptPath)
 	if err != nil {
 		t.Fatal(err)
@@ -57,10 +57,6 @@ func TestSpoolAtomicBinaryWriteAndResume(t *testing.T) {
 			t.Fatalf("temp file survived the atomic write: %s", e.Name())
 		}
 	}
-	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
-		t.Fatalf("unexpected legacy spool file: %v", err)
-	}
-
 	opts := tso.ExhaustiveOptions{
 		ExploreOptions: tso.ExploreOptions{MaxRuns: 1 << 22},
 		Label:          "sb",
@@ -97,64 +93,6 @@ func TestSpoolAtomicBinaryWriteAndResume(t *testing.T) {
 	}
 }
 
-// TestSpoolLegacyJSONResumes: a JSON-era spool at the legacy path still
-// loads, and the next spool write migrates the phase to the binary file
-// while removing the superseded legacy one (so later resumes are
-// unambiguous).
-func TestSpoolLegacyJSONResumes(t *testing.T) {
-	cfg := tso.Config{Threads: 2, BufferSize: 2}
-	prefix := filepath.Join(t.TempDir(), "run")
-	cp := midFlight(t, cfg, "sb")
-
-	ckptPath, legacyPath := spoolPaths(prefix, "sb")
-	f, err := os.Create(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.EncodeJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := tso.ExhaustiveOptions{Label: "sb"}
-	loaded, err := loadCheckpoint(prefix, "sb", cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded == nil || !reflect.DeepEqual(loaded, cp) {
-		t.Fatalf("legacy spool loaded %+v, want %+v", loaded, cp)
-	}
-
-	if err := writeCheckpoint(prefix, "sb", loaded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
-		t.Fatalf("legacy spool survived the binary rewrite: %v", err)
-	}
-	if _, err := os.Stat(ckptPath); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSpoolAmbiguousCheckpoint: when both the binary and the legacy file
-// exist for a phase, the load refuses with a clear error instead of
-// guessing which frontier is current.
-func TestSpoolAmbiguousCheckpoint(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "run")
-	ckptPath, legacyPath := spoolPaths(prefix, "sb")
-	for _, p := range []string{ckptPath, legacyPath} {
-		if err := os.WriteFile(p, []byte("stale"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := loadCheckpoint(prefix, "sb", tso.Config{Threads: 2, BufferSize: 2}, tso.ExhaustiveOptions{Label: "sb"})
-	if err == nil || !strings.Contains(err.Error(), "ambiguous checkpoint") {
-		t.Fatalf("got %v, want ambiguous-checkpoint error", err)
-	}
-}
-
 // TestSpoolRejectsPhaseCollision: a checkpoint that belongs to one phase
 // but sits at the path another phase resolves to — what a prefix
 // collision between phases produces — is rejected by the embedded label
@@ -165,12 +103,12 @@ func TestSpoolRejectsPhaseCollision(t *testing.T) {
 	cp := midFlight(t, cfg, "sb")
 
 	// Park the sb-labeled frontier where phase "sb-fenced" will look.
-	ckptPath, _ := spoolPaths(prefix, "sb-fenced")
+	ckptPath := spoolPath(prefix, "sb-fenced")
 	f, err := os.Create(ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Encode(f); err != nil {
+	if err := (tso.BinaryCodec{}).EncodeCheckpoint(f, cp); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

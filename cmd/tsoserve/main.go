@@ -3,13 +3,14 @@
 // job's schedule frontier across a bounded worker pool, and serves
 // results — including a replayable witness schedule when a job violates
 // its spec — at GET /v1/jobs/{id}. Progress is checkpointed to a spool
-// directory so a restarted server resumes unfinished jobs from where the
-// previous process stopped; SIGTERM/SIGINT drain gracefully, spooling
+// directory (one JSON record per job, frontiers in the binary checkpoint
+// wire format) so a restarted server resumes unfinished jobs from where
+// the previous process stopped; SIGTERM/SIGINT drain gracefully, spooling
 // every in-flight frontier before exit.
 //
 // Usage:
 //
-//	tsoserve [-config FILE] [-listen ADDR] [-spool DIR] [-workers N] [-spool-codec binary|json] [-print-config]
+//	tsoserve [-config FILE] [-listen ADDR] [-spool DIR] [-workers N] [-print-config]
 //
 // Flags override the config file. With -print-config the effective
 // configuration is printed and the server does not start.
@@ -33,7 +34,6 @@ func main() {
 	listen := flag.String("listen", "", "listen address (overrides the config file)")
 	spool := flag.String("spool", "", "checkpoint spool directory (overrides the config file)")
 	workers := flag.Int("workers", 0, "exploration workers (overrides the config file)")
-	spoolCodec := flag.String("spool-codec", "", `checkpoint wire format for spool writes: "binary" (default) or "json" (legacy; reads accept both either way)`)
 	printConfig := flag.Bool("print-config", false, "print the effective config and exit")
 	flag.Parse()
 
@@ -53,9 +53,6 @@ func main() {
 	}
 	if *workers > 0 {
 		cfg.Workers = *workers
-	}
-	if *spoolCodec != "" {
-		cfg.SpoolCodec = *spoolCodec
 	}
 	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)

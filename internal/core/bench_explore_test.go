@@ -43,7 +43,7 @@ func iriwProgs() (func(m *tso.Machine) []func(tso.Context), func(m *tso.Machine)
 // TestBenchExplore measures the exploration core's two canonical
 // workloads — the four-thread IRIW litmus and the FF-CL S=2 δ-soundness
 // duel, each explored under Prune and under DPOR — plus the frontier
-// checkpoint's wire cost per unit under both codecs. It only runs when
+// checkpoint's wire cost per unit. It only runs when
 // BENCH_EXPLORE_OUT names an output file, where it writes a one-object
 // JSON summary (CI uploads it as the BENCH_explore.json artifact). The
 // checked-in copy under results/ doubles as a regression gate: executed-
@@ -119,18 +119,14 @@ func TestBenchExplore(t *testing.T) {
 		}
 	}
 
-	// Wire cost per frontier unit, both codecs, on a realistic sharded
-	// IRIW frontier.
+	// Wire cost per frontier unit on a realistic sharded IRIW frontier.
 	const units = 64
 	cp, err := tso.ShardFrontier(iriwCfg, iriwMk, tso.ExhaustiveOptions{Units: units})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bin, js bytes.Buffer
+	var bin bytes.Buffer
 	if err := (tso.BinaryCodec{}).EncodeCheckpoint(&bin, cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := (tso.JSONCodec{}).EncodeCheckpoint(&js, cp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,10 +143,7 @@ func TestBenchExplore(t *testing.T) {
 		"ffcl_s2_dpor_seconds":    ffclDSecs,
 		"checkpoint_units":        len(cp.Units),
 		"checkpoint_bytes_binary": bin.Len(),
-		"checkpoint_bytes_json":   js.Len(),
 		"bytes_per_unit_binary":   float64(bin.Len()) / float64(len(cp.Units)),
-		"bytes_per_unit_json":     float64(js.Len()) / float64(len(cp.Units)),
-		"json_over_binary_ratio":  float64(js.Len()) / float64(bin.Len()),
 	}
 	b, err := json.MarshalIndent(summary, "", "  ")
 	if err != nil {
@@ -159,10 +152,9 @@ func TestBenchExplore(t *testing.T) {
 	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("IRIW %d schedules in %.2fs (DPOR executed %d vs pruned %d); FF-CL S=2 %d schedules in %.2fs (DPOR executed %d vs pruned %d); checkpoint %dB binary vs %dB JSON (%.1fx)",
+	t.Logf("IRIW %d schedules in %.2fs (DPOR executed %d vs pruned %d); FF-CL S=2 %d schedules in %.2fs (DPOR executed %d vs pruned %d); checkpoint %dB over %d units",
 		iriwSet.Total(), iriwSecs, iriwDRes.Runs, iriwRes.Runs,
-		ffclSet.Total(), ffclSecs, ffclDRes.Runs, ffclRes.Runs, bin.Len(), js.Len(),
-		float64(js.Len())/float64(bin.Len()))
+		ffclSet.Total(), ffclSecs, ffclDRes.Runs, ffclRes.Runs, bin.Len(), len(cp.Units))
 
 	// Regression gate against the checked-in reference. Executed-run
 	// counts are deterministic functions of the engine's reduction

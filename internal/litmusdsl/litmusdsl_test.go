@@ -303,3 +303,26 @@ func TestEngineEquivalenceAcrossLibrary(t *testing.T) {
 		})
 	}
 }
+
+// TestPruneExecutedDeterministic: sequential Prune's executed count is a
+// function of the test alone, so two explorations of every library entry
+// must execute the same number of schedules. Publishing registers in map
+// order broke this: the store-buffer contents, and so the states the memo
+// dedups, changed from run to run.
+func TestPruneExecutedDeterministic(t *testing.T) {
+	opts := RunOptions{MaxSchedules: 1 << 20, Parallel: 1, Prune: true}
+	for _, src := range Library {
+		tt := mustParse(t, src)
+		a, err := Run(tt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(tt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Executed != b.Executed {
+			t.Errorf("%s: executed %d then %d schedules under sequential Prune", tt.Name, a.Executed, b.Executed)
+		}
+	}
+}

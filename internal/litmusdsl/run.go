@@ -145,9 +145,11 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 		next++
 	}
 	regAddr := make([]map[string]tso.Addr, len(t.Procs))
+	regNames := make([][]string, len(t.Procs))
 	for pi := range t.Procs {
 		regAddr[pi] = map[string]tso.Addr{}
-		for _, r := range sortedKeys(regsPerProc[pi]) {
+		regNames[pi] = sortedKeys(regsPerProc[pi])
+		for _, r := range regNames[pi] {
 			regAddr[pi][r] = next
 			next++
 		}
@@ -189,9 +191,12 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 					}
 				}
 				// Publish registers (+1 so zero-valued registers are
-				// distinguishable from never-run); flushed at run end.
-				for r, v := range regs {
-					c.Store(regAddr[pi][r], v+1)
+				// distinguishable from never-run); flushed at run end. The
+				// order is fixed (sorted by name): map order would change
+				// the store-buffer contents from run to run, and with them
+				// the states the memo dedups and the executed count.
+				for _, r := range regNames[pi] {
+					c.Store(regAddr[pi][r], regs[r]+1)
 				}
 			}
 		}

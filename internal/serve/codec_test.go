@@ -31,64 +31,39 @@ func spoolRecord(t *testing.T) *Record {
 	return &Record{ID: "job-000042", Spec: js, State: StateRunning, Budget: 1000, Checkpoint: cp}
 }
 
-// TestStoreBinaryWire: the default store must spool checkpoints as a
-// binary blob (checkpoint_bin), round-trip them exactly, and leave the
-// legacy embedded-JSON field unused; the "json" codec must do the
-// reverse. Either store must read what the other wrote.
+// TestStoreBinaryWire: the store must spool checkpoints as a binary
+// blob (checkpoint_bin) and round-trip them exactly.
 func TestStoreBinaryWire(t *testing.T) {
 	rec := spoolRecord(t)
-	for _, tc := range []struct {
-		codec    string
-		wantBin  bool
-		wantJSON bool
-	}{
-		{"", true, false},
-		{"binary", true, false},
-		{"json", false, true},
-	} {
-		dir := t.TempDir()
-		st, err := OpenStoreCodec(dir, tc.codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Put(rec); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(st.path(rec.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := bytes.Contains(raw, []byte(`"checkpoint_bin"`)); got != tc.wantBin {
-			t.Errorf("codec %q: checkpoint_bin present=%v, want %v", tc.codec, got, tc.wantBin)
-		}
-		if got := bytes.Contains(raw, []byte(`"checkpoint"`)) && !bytes.Contains(raw, []byte(`"checkpoint_bin"`)); got != tc.wantJSON {
-			t.Errorf("codec %q: embedded checkpoint present=%v, want %v", tc.codec, got, tc.wantJSON)
-		}
-
-		// Every store reads every wire form.
-		for _, reader := range []string{"", "json"} {
-			rd, err := OpenStoreCodec(dir, reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rd.Get(rec.ID)
-			if err != nil {
-				t.Fatalf("codec %q read by %q: %v", tc.codec, reader, err)
-			}
-			if !reflect.DeepEqual(got.Checkpoint, rec.Checkpoint) {
-				t.Errorf("codec %q read by %q: checkpoint diverged", tc.codec, reader)
-			}
-		}
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := OpenStoreCodec(t.TempDir(), "protobuf"); err == nil {
-		t.Fatal("unknown spool codec accepted")
+	if err := st.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(st.path(rec.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"checkpoint_bin"`)) {
+		t.Fatalf("record carries no checkpoint_bin blob: %s", raw)
+	}
+	got, err := st.Get(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Checkpoint, rec.Checkpoint) {
+		t.Fatal("checkpoint diverged across the spool round trip")
 	}
 }
 
-// TestStoreRejectsAmbiguousRecord: a spool file carrying both checkpoint
-// forms is operator error (or corruption) and must fail the read, not
-// silently pick one.
-func TestStoreRejectsAmbiguousRecord(t *testing.T) {
+// TestStoreRejectsEmbeddedCheckpoint: a record that embeds its
+// checkpoint as a JSON object under "checkpoint" (a schema this store
+// does not write) must fail Get and the List recovery scan. Decoding it
+// with the checkpoint silently dropped would let recovery re-plan a
+// running job from scratch under its already-spent budget.
+func TestStoreRejectsEmbeddedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -97,89 +72,27 @@ func TestStoreRejectsAmbiguousRecord(t *testing.T) {
 	if err := os.WriteFile(st.path("job-000001"), []byte(`{
   "id": "job-000001",
   "state": "running",
-  "checkpoint": {"version": 1},
-  "checkpoint_bin": "VFNPRg=="
+  "budget": 1000,
+  "checkpoint": {"threads": 2, "buffer_size": 2, "model": "TSO"}
 }`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get("job-000001"); err == nil || !strings.Contains(err.Error(), "both checkpoint forms") {
-		t.Fatalf("ambiguous record: got %v, want both-forms error", err)
+	if _, err := st.Get("job-000001"); err == nil || !strings.Contains(err.Error(), `"checkpoint"`) {
+		t.Fatalf("Get: got %v, want an unknown-field error naming \"checkpoint\"", err)
 	}
-}
-
-// TestLegacyJSONSpoolResumesUnderBinaryDefault is the migration bar: a
-// spool written entirely by a JSON-codec server (the legacy era) must
-// resume under a binary-default server to the same final counts as a
-// direct in-process exploration — and the resumed server's own writes
-// switch the record to the binary wire.
-func TestLegacyJSONSpoolResumesUnderBinaryDefault(t *testing.T) {
-	spool := t.TempDir()
-	legacy := Config{SpoolDir: spool, Workers: 2, SliceRuns: 32,
-		CheckpointInterval: Duration(time.Hour), SpoolCodec: "json"}
-	s, err := NewServer(legacy)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := st.List(); err == nil {
+		t.Fatal("List accepted a spool holding an embedded-checkpoint record")
 	}
-	st, err := s.Submit(mediumSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		cur, err := s.Status(st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == StateDone {
-			t.Fatal("job finished before the drain; shrink SliceRuns")
-		}
-		if cur.State == StateRunning && cur.Executed >= 200 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never got going: %+v", cur)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Drain()
-
-	raw, err := os.ReadFile(s.store.path(st.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte(`"checkpoint"`)) || bytes.Contains(raw, []byte(`"checkpoint_bin"`)) {
-		t.Fatal("legacy server did not write an embedded-JSON checkpoint")
+	if _, err := NewServer(Config{SpoolDir: dir, Workers: 1}); err == nil {
+		t.Fatal("server resumed a spool holding an embedded-checkpoint record")
 	}
 
-	// Resume with the binary default.
-	modern := legacy
-	modern.SpoolCodec = ""
-	modern.CheckpointInterval = Duration(2 * time.Millisecond)
-	s2, err := NewServer(modern)
-	if err != nil {
+	// Anything after the record is refused the same way.
+	if err := os.WriteFile(st.path("job-000002"), []byte(`{"id": "job-000002", "state": "done"} {}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Drain()
-	final := waitServer(t, s2, st.ID, 120*time.Second)
-	if final.State != StateDone || final.Result == nil || !final.Result.Complete {
-		t.Fatalf("migrated job did not complete: %+v", final)
-	}
-	want := directReport(t, mediumSpec())
-	if !reflect.DeepEqual(final.Result.Outcomes, want.Outcomes) {
-		t.Fatalf("migrated outcomes %v, want %v", final.Result.Outcomes, want.Outcomes)
-	}
-	if final.Result.Schedules != want.Schedules {
-		t.Fatalf("migrated schedules %d, want %d", final.Result.Schedules, want.Schedules)
-	}
-	raw, err = os.ReadFile(s2.store.path(st.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The resumed server rewrote the record; whatever it holds now (a
-	// binary checkpoint mid-flight, or none once terminal), the legacy
-	// embedded-JSON form must be gone.
-	if bytes.Contains(raw, []byte(`"checkpoint":`)) {
-		t.Fatalf("resumed server left a legacy embedded checkpoint: %s", raw)
+	if _, err := st.Get("job-000002"); err == nil {
+		t.Fatal("Get accepted a record followed by trailing data")
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 	"runtime"
 	"strings"
 	"time"
-
-	"repro/internal/tso"
 )
 
 // Configuration error taxonomy. Each sentinel names one rejected field so
@@ -49,8 +47,6 @@ var (
 	// ErrBadSpoolDir rejects a spool path that exists but is not a
 	// directory.
 	ErrBadSpoolDir = errors.New("serve: spool path is not a directory")
-	// ErrBadSpoolCodec rejects an unknown checkpoint codec name.
-	ErrBadSpoolCodec = errors.New("serve: unknown spool codec")
 )
 
 // Duration is a time.Duration that marshals to and from JSON as a Go
@@ -117,11 +113,6 @@ type Config struct {
 	// CheckpointInterval is how often running jobs' frontiers are spooled
 	// (default 5s).
 	CheckpointInterval Duration `json:"checkpoint_interval,omitempty"`
-	// SpoolCodec names the checkpoint encoding for spooled frontiers:
-	// "binary" (default; the compact tso.BinaryCodec wire format) or
-	// "json" (the legacy embedded-JSON form). Reads always accept both,
-	// so switching codecs never strands a spool.
-	SpoolCodec string `json:"spool_codec,omitempty"`
 }
 
 // DefaultConfig returns the configuration `tsoserve` runs with when no
@@ -165,9 +156,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: %s", ErrBadSpoolDir, c.SpoolDir)
 		}
 	}
-	if _, err := tso.CodecByName(c.SpoolCodec); err != nil {
-		return fmt.Errorf("%w: %q", ErrBadSpoolCodec, c.SpoolCodec)
-	}
 	return nil
 }
 
@@ -202,9 +190,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = Duration(5 * time.Second)
-	}
-	if c.SpoolCodec == "" {
-		c.SpoolCodec = tso.DefaultCodec.Name()
 	}
 	return c, nil
 }

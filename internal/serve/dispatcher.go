@@ -46,6 +46,9 @@ type Server struct {
 	tickOnce sync.Once
 	tickStop chan struct{}
 	tickDone chan struct{}
+	// drainOnce makes Drain run once; a concurrent second call blocks
+	// until the first has spooled every frontier.
+	drainOnce sync.Once
 }
 
 // job is the in-memory state of one verification job.
@@ -79,7 +82,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := OpenStoreCodec(c.SpoolDir, c.SpoolCodec)
+	store, err := OpenStore(c.SpoolDir)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +347,6 @@ func (s *Server) enqueueSliceLocked(j *job, uid int) {
 // alias.
 func shardCheckpoint(cfg tso.Config, model string, reorder int, dpor bool, u tso.UnitCheckpoint) *tso.Checkpoint {
 	return &tso.Checkpoint{
-		Version:      1,
 		Threads:      cfg.Threads,
 		BufferSize:   cfg.BufferSize,
 		Model:        model,
@@ -710,9 +712,12 @@ func (s *Server) resume() error {
 // Drain gracefully stops the server: intake closes, in-flight slices
 // stop at their next run boundary (the same mechanism a run budget
 // uses), the pool drains, and every unfinished job's frontier is spooled
-// so a restart resumes it. Safe to call once; the HTTP layer keeps
-// answering reads during and after.
-func (s *Server) Drain() {
+// so a restart resumes it. Every call returns only once the drain is
+// complete, whichever call ran it; the HTTP layer keeps answering reads
+// during and after.
+func (s *Server) Drain() { s.drainOnce.Do(s.drain) }
+
+func (s *Server) drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()

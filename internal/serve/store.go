@@ -39,19 +39,16 @@ type Record struct {
 
 // recordWire is the spool file schema. The record envelope stays JSON (it
 // is small and operators grep it), while the checkpoint — the bulk of a
-// running job's record — is carried either embedded (the legacy "json"
-// codec) or as a base64 blob in the store's configured tso.Codec wire
-// format. Reads accept both forms regardless of the configured writer
-// codec, so a spool written by an older build resumes unchanged.
+// running job's record — travels as a base64 blob in the tso.BinaryCodec
+// wire format.
 type recordWire struct {
-	ID            string          `json:"id"`
-	Spec          JobSpec         `json:"spec"`
-	State         JobState        `json:"state"`
-	Budget        int             `json:"budget"`
-	Error         string          `json:"error,omitempty"`
-	Result        *JobResult      `json:"result,omitempty"`
-	Checkpoint    *tso.Checkpoint `json:"checkpoint,omitempty"`
-	CheckpointBin []byte          `json:"checkpoint_bin,omitempty"`
+	ID            string     `json:"id"`
+	Spec          JobSpec    `json:"spec"`
+	State         JobState   `json:"state"`
+	Budget        int        `json:"budget"`
+	Error         string     `json:"error,omitempty"`
+	Result        *JobResult `json:"result,omitempty"`
+	CheckpointBin []byte     `json:"checkpoint_bin,omitempty"`
 }
 
 // Store is the spool directory: one JSON file per job, written
@@ -60,30 +57,17 @@ type recordWire struct {
 // SIGKILL, freezing the on-disk state at a chosen instant.
 type Store struct {
 	dir    string
-	codec  tso.Codec
 	mu     sync.Mutex
 	sealed bool
 	writes int
 }
 
-// OpenStore opens (creating if needed) the spool directory, writing
-// checkpoints in the default (binary) codec.
+// OpenStore opens (creating if needed) the spool directory.
 func OpenStore(dir string) (*Store, error) {
-	return OpenStoreCodec(dir, "")
-}
-
-// OpenStoreCodec opens the spool with an explicit checkpoint codec name
-// ("" or "binary" for the compact wire format, "json" for the legacy
-// embedded form). The codec governs writes only; reads accept both.
-func OpenStoreCodec(dir, codec string) (*Store, error) {
-	c, err := tso.CodecByName(codec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening spool: %w", err)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: opening spool: %w", err)
 	}
-	return &Store{dir: dir, codec: c}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the spool directory path.
@@ -114,15 +98,11 @@ func (s *Store) Put(rec *Record) error {
 		if err := rec.Checkpoint.Validate(); err != nil {
 			return fmt.Errorf("serve: refusing to spool job %s: %w", rec.ID, err)
 		}
-		if s.codec.Name() == "json" {
-			wire.Checkpoint = rec.Checkpoint
-		} else {
-			var buf bytes.Buffer
-			if err := s.codec.EncodeCheckpoint(&buf, rec.Checkpoint); err != nil {
-				return fmt.Errorf("serve: encoding job %s checkpoint: %w", rec.ID, err)
-			}
-			wire.CheckpointBin = buf.Bytes()
+		var buf bytes.Buffer
+		if err := (tso.BinaryCodec{}).EncodeCheckpoint(&buf, rec.Checkpoint); err != nil {
+			return fmt.Errorf("serve: encoding job %s checkpoint: %w", rec.ID, err)
 		}
+		wire.CheckpointBin = buf.Bytes()
 	}
 	data, err := json.MarshalIndent(&wire, "", "  ")
 	if err != nil {
@@ -139,39 +119,39 @@ func (s *Store) Put(rec *Record) error {
 	return nil
 }
 
-// Get reads one job's record from disk.
+// Get reads one job's record from disk. Unknown fields are errors: a
+// record from a build whose schema differs (say, one embedding the
+// checkpoint as JSON) must fail loudly rather than decode with its
+// checkpoint silently dropped — resuming such a job from scratch under
+// its already-spent budget would fold wrong counts.
 func (s *Store) Get(id string) (*Record, error) {
 	data, err := os.ReadFile(s.path(id))
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var wire recordWire
-	if err := json.Unmarshal(data, &wire); err != nil {
+	if err := dec.Decode(&wire); err != nil {
 		return nil, fmt.Errorf("serve: decoding job %s: %w", id, err)
 	}
+	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
+		return nil, fmt.Errorf("serve: decoding job %s: data after the record", id)
+	}
 	rec := Record{
-		ID:         wire.ID,
-		Spec:       wire.Spec,
-		State:      wire.State,
-		Budget:     wire.Budget,
-		Error:      wire.Error,
-		Result:     wire.Result,
-		Checkpoint: wire.Checkpoint,
+		ID:     wire.ID,
+		Spec:   wire.Spec,
+		State:  wire.State,
+		Budget: wire.Budget,
+		Error:  wire.Error,
+		Result: wire.Result,
 	}
 	if len(wire.CheckpointBin) > 0 {
-		if wire.Checkpoint != nil {
-			return nil, fmt.Errorf("serve: job %s spooled both checkpoint forms", id)
-		}
-		cp, err := tso.DecodeCheckpoint(bytes.NewReader(wire.CheckpointBin))
+		cp, err := (tso.BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(wire.CheckpointBin))
 		if err != nil {
 			return nil, fmt.Errorf("serve: job %s spooled checkpoint: %w", id, err)
 		}
 		rec.Checkpoint = cp
-	}
-	if rec.Checkpoint != nil {
-		if err := rec.Checkpoint.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: job %s spooled checkpoint: %w", id, err)
-		}
 	}
 	return &rec, nil
 }

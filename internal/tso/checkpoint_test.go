@@ -10,7 +10,6 @@ import (
 // resumable unit, the base the rejection table mutates.
 func validCheckpoint() *Checkpoint {
 	return &Checkpoint{
-		Version:      1,
 		Threads:      2,
 		BufferSize:   2,
 		Model:        "TSO",
@@ -26,7 +25,7 @@ func validCheckpoint() *Checkpoint {
 }
 
 // TestCheckpointValidateAccepts: the base checkpoint and its decoded
-// round trip must pass — Validate is now on the DecodeCheckpoint path, so
+// round trip must pass — Validate is on the DecodeCheckpoint path, so
 // a false rejection would break every resume.
 func TestCheckpointValidateAccepts(t *testing.T) {
 	cp := validCheckpoint()
@@ -34,10 +33,10 @@ func TestCheckpointValidateAccepts(t *testing.T) {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
+	if err := (BinaryCodec{}).EncodeCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeCheckpoint(&buf); err != nil {
+	if _, err := (BinaryCodec{}).DecodeCheckpoint(&buf); err != nil {
 		t.Fatalf("valid checkpoint rejected on decode: %v", err)
 	}
 }
@@ -51,7 +50,6 @@ func TestCheckpointValidateRejects(t *testing.T) {
 		mut  func(cp *Checkpoint)
 		want string
 	}{
-		{"version", func(cp *Checkpoint) { cp.Version = 2 }, "version"},
 		{"threads", func(cp *Checkpoint) { cp.Threads = 0; cp.MaxOccupancy = nil }, "thread"},
 		{"buffer-size", func(cp *Checkpoint) { cp.BufferSize = 0 }, "buffer"},
 		{"unknown-model", func(cp *Checkpoint) { cp.Model = "ARMv8" }, "memory model"},
@@ -85,10 +83,10 @@ func TestCheckpointValidateRejects(t *testing.T) {
 			// The same malformed checkpoint must be refused at the decode
 			// boundary, where spool files and wire payloads enter.
 			var buf bytes.Buffer
-			if encErr := cp.Encode(&buf); encErr != nil {
+			if encErr := (BinaryCodec{}).EncodeCheckpoint(&buf, cp); encErr != nil {
 				t.Fatal(encErr)
 			}
-			if _, decErr := DecodeCheckpoint(&buf); decErr == nil {
+			if _, decErr := (BinaryCodec{}).DecodeCheckpoint(&buf); decErr == nil {
 				t.Fatalf("mutation %q accepted by DecodeCheckpoint", tc.name)
 			}
 		})

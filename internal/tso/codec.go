@@ -1,104 +1,30 @@
 package tso
 
-// This file is the checkpoint wire layer: a Codec interface with two
-// implementations — the legacy indented-JSON format the first spools
-// used, and the versioned binary format that is now the default
-// everywhere checkpoints flow (the tsoserve spool, the tsoexplore
-// -checkpoint file, the shard wire). The binary format exists because a
-// frontier unit is mostly small integers (choice indices and fanouts):
-// varint packing shrinks a checkpoint by roughly an order of magnitude
-// against indented JSON, which is the difference between a spool that
-// survives billion-schedule campaigns and one that does not.
-//
-// DecodeCheckpoint sniffs the format from the first bytes (the binary
-// magic vs JSON's leading '{'), so every existing caller — resume paths,
-// the serve spool, corpus files — reads legacy JSON spools and new
-// binary ones through the same entry point.
+// This file is the checkpoint wire layer: the one binary format every
+// checkpoint flows through (the tsoserve spool, the tsoexplore
+// -checkpoint file, the shard wire). A frontier unit is mostly small
+// integers (choice indices and fanouts), so varint packing keeps a spool
+// small enough to survive billion-schedule campaigns. The TSOF header's
+// version byte is the only format version; the decoder speaks exactly the
+// current one and refuses every other with ErrCodecVersion.
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 )
 
-// Codec serializes checkpoints. Implementations must be stateless and
-// safe for concurrent use; both directions stream (encode never builds
-// the whole wire image in memory, decode never slurps the reader).
-type Codec interface {
-	// Name is the codec's stable identifier ("binary", "json") — the
-	// spelling config files and CLI flags use.
-	Name() string
-	// EncodeCheckpoint writes cp to w.
-	EncodeCheckpoint(w io.Writer, cp *Checkpoint) error
-	// DecodeCheckpoint reads one checkpoint from r and validates it
-	// (Checkpoint.Validate); malformed frontiers fail here rather than
-	// corrupt a later merge.
-	DecodeCheckpoint(r io.Reader) (*Checkpoint, error)
-}
-
-// DefaultCodec is the codec Checkpoint.Encode writes: the binary format.
-var DefaultCodec Codec = BinaryCodec{}
-
-// CodecByName resolves a codec identifier ("binary", "json"); the empty
-// string selects the default.
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "", BinaryCodec{}.Name():
-		return BinaryCodec{}, nil
-	case JSONCodec{}.Name():
-		return JSONCodec{}, nil
-	}
-	return nil, fmt.Errorf("tso: unknown checkpoint codec %q", name)
-}
-
-// JSONCodec is the legacy wire format: one indented JSON document per
-// checkpoint. Kept decodable forever so pre-binary spools migrate by
-// simply being resumed; new spools should not choose it except for
-// human inspection.
-type JSONCodec struct{}
-
-// Name returns "json".
-func (JSONCodec) Name() string { return "json" }
-
-// EncodeCheckpoint writes the checkpoint as indented JSON.
-func (JSONCodec) EncodeCheckpoint(w io.Writer, cp *Checkpoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(cp)
-}
-
-// DecodeCheckpoint reads one JSON checkpoint and validates it.
-func (JSONCodec) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("tso: decoding checkpoint: %w", err)
-	}
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	return &cp, nil
-}
-
-// binMagic opens every binary checkpoint: four tag bytes plus one wire
-// format version byte. The tag cannot collide with JSON (which starts
-// with whitespace or '{'), which is what DecodeCheckpoint's sniffing
-// relies on. Version 1 is the original layout; version 2 added the
-// DPOR mode flag, the three DPOR prune counters, and the per-unit
-// explored-branch masks. The encoder always writes the current
-// version; the decoder reads both (a v1 spool decodes with the new
-// fields zero, exactly its meaning).
+// binMagic opens every checkpoint: four tag bytes plus the wire format
+// version byte, the checkpoint's only version number. The decoder refuses
+// any stream whose version byte differs from binVersion.
 var binMagic = [5]byte{'T', 'S', 'O', 'F', binVersion}
 
-const (
-	binVersion   = 2
-	binVersionV1 = 1
-)
+const binVersion = 3
 
-// ErrCodecVersion is the sentinel DecodeCheckpoint wraps when a binary
+// ErrCodecVersion is the sentinel DecodeCheckpoint wraps when a
 // checkpoint carries the TSOF tag but a wire version this build does
 // not speak — the codec axis of resume refusal (compare with
 // errors.Is).
@@ -107,22 +33,25 @@ var ErrCodecVersion = errors.New("tso: unsupported binary checkpoint format vers
 // Decoder sanity caps: lengths beyond these are corruption, not data
 // (the deepest real frontier prefixes are a few thousand choices, and
 // outcome strings are short litmus verdicts). They bound the allocation
-// a hostile or torn spool file can cause.
+// a hostile or torn spool file can cause. Below the caps, slices and
+// the outcome table grow as their elements arrive rather than being
+// sized up front from a declared length, so a short stream that claims
+// a huge one fails on EOF without first allocating for it.
 const (
 	binMaxString = 1 << 20
 	binMaxSlice  = 1 << 26
+	binPrealloc  = 1 << 10
 )
 
-// BinaryCodec is the default wire format: the magic header followed by
+// BinaryCodec is the checkpoint wire format: the magic header followed by
 // every checkpoint field in a fixed order, integers as signed varints
 // (signed so even structurally invalid values round-trip to Validate
 // instead of corrupting silently), strings length-prefixed, and the
 // outcome table written as one sorted (string, count) run so equal
-// checkpoints encode byte-identically.
+// checkpoints encode byte-identically. Both directions stream: encode
+// never builds the whole wire image in memory, decode never slurps the
+// reader.
 type BinaryCodec struct{}
-
-// Name returns "binary".
-func (BinaryCodec) Name() string { return "binary" }
 
 // binWriter is the encoder's streaming state: a buffered writer, a
 // varint scratch, and a sticky first error so field writes chain without
@@ -185,7 +114,6 @@ func (BinaryCodec) EncodeCheckpoint(w io.Writer, cp *Checkpoint) error {
 	if _, err := bw.w.Write(binMagic[:]); err != nil {
 		return fmt.Errorf("tso: encoding checkpoint: %w", err)
 	}
-	bw.vint(int64(cp.Version))
 	bw.vint(int64(cp.Threads))
 	bw.vint(int64(cp.BufferSize))
 	bw.str(cp.Model)
@@ -301,9 +229,9 @@ func (b *binReader) ints() []int {
 	if b.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = int(b.vint())
+	xs := make([]int, 0, min(n, binPrealloc))
+	for i := 0; i < n && b.err == nil; i++ {
+		xs = append(xs, int(b.vint()))
 	}
 	if b.err != nil {
 		return nil
@@ -316,9 +244,9 @@ func (b *binReader) uints64() []uint64 {
 	if b.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]uint64, n)
-	for i := range xs {
-		xs[i] = b.uvint()
+	xs := make([]uint64, 0, min(n, binPrealloc))
+	for i := 0; i < n && b.err == nil; i++ {
+		xs = append(xs, b.uvint())
 	}
 	if b.err != nil {
 		return nil
@@ -326,7 +254,10 @@ func (b *binReader) uints64() []uint64 {
 	return xs
 }
 
-// DecodeCheckpoint reads one binary checkpoint and validates it.
+// DecodeCheckpoint reads one checkpoint and validates it: checkpoints
+// arrive from disk spools and the verification service's wire, so a
+// malformed frontier fails loudly here rather than corrupting a later
+// merge.
 func (BinaryCodec) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -340,21 +271,18 @@ func (BinaryCodec) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("tso: not a binary checkpoint (bad magic)")
 	}
 	ver := magic[4]
-	if ver != binVersionV1 && ver != binVersion {
+	if ver != binVersion {
 		return nil, fmt.Errorf("%w %d", ErrCodecVersion, ver)
 	}
 	b := &binReader{r: br}
 	cp := &Checkpoint{}
-	cp.Version = int(b.vint())
 	cp.Threads = int(b.vint())
 	cp.BufferSize = int(b.vint())
 	cp.Model = b.str()
 	cp.DrainBuffer = b.bool()
 	cp.Label = b.str()
 	cp.Reorder = int(b.vint())
-	if ver >= binVersion {
-		cp.DPOR = b.bool()
-	}
+	cp.DPOR = b.bool()
 	cp.Runs = int(b.vint())
 	cp.StepLimited = int(b.vint())
 	cp.Tree.MaxDepth = int(b.vint())
@@ -366,13 +294,11 @@ func (BinaryCodec) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	cp.Prune.SchedulesSaved = b.vint()
 	cp.Prune.SleepSkips = b.vint()
 	cp.Prune.ReorderSkips = b.vint()
-	if ver >= binVersion {
-		cp.Prune.DPORRaces = b.vint()
-		cp.Prune.DPORBacktracks = b.vint()
-		cp.Prune.DPORSleepSkips = b.vint()
-	}
+	cp.Prune.DPORRaces = b.vint()
+	cp.Prune.DPORBacktracks = b.vint()
+	cp.Prune.DPORSleepSkips = b.vint()
 	nCounts := b.length(binMaxSlice)
-	cp.Counts = make(map[string]int, nCounts)
+	cp.Counts = make(map[string]int, min(nCounts, binPrealloc))
 	for i := 0; i < nCounts && b.err == nil; i++ {
 		k := b.str()
 		cp.Counts[k] = int(b.vint())
@@ -388,9 +314,7 @@ func (BinaryCodec) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			RootFanout: b.ints(),
 			Prefix:     b.ints(),
 			Fanout:     b.ints(),
-		}
-		if ver >= binVersion {
-			u.Done = b.uints64()
+			Done:       b.uints64(),
 		}
 		cp.Units = append(cp.Units, u)
 	}
@@ -401,27 +325,4 @@ func (BinaryCodec) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, err
 	}
 	return cp, nil
-}
-
-// DecodeCheckpoint reads one checkpoint in either wire format, sniffing
-// binary (the TSOF magic) against legacy JSON (leading whitespace or
-// '{') from the first bytes — the migration path: a pre-binary spool
-// resumes under the binary-default build through the same call, and the
-// next write moves it to the new format. Structurally invalid frontiers
-// are rejected via Validate: checkpoints arrive from disk spools and the
-// verification service's wire, so malformed input must fail loudly here
-// rather than corrupt a later merge.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binMagic))
-	if err != nil && len(head) == 0 {
-		return nil, fmt.Errorf("tso: decoding checkpoint: %w", err)
-	}
-	if len(head) == len(binMagic) && [4]byte(head[:4]) == [4]byte(binMagic[:4]) {
-		// Any TSOF-tagged stream is the binary codec's to judge — an
-		// unknown version byte must surface as ErrCodecVersion, not fall
-		// through to a JSON parse error.
-		return BinaryCodec{}.DecodeCheckpoint(br)
-	}
-	return JSONCodec{}.DecodeCheckpoint(br)
 }

@@ -1,9 +1,13 @@
 package tso
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -13,7 +17,6 @@ import (
 // with partial prefixes, and outcome strings with spaces and '='.
 func richCheckpoint() *Checkpoint {
 	return &Checkpoint{
-		Version:      1,
 		Threads:      3,
 		BufferSize:   4,
 		Model:        "TSO",
@@ -38,8 +41,8 @@ func richCheckpoint() *Checkpoint {
 }
 
 // TestBinaryCodecRoundTrip: every field of a checkpoint must survive
-// encode→decode under the binary codec exactly, including the fields the
-// JSON codec spells with omitempty (Label, Reorder, empty prefixes).
+// encode→decode under the binary codec exactly, including the optional
+// ones (Label, Reorder, empty prefixes).
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	for _, cp := range []*Checkpoint{richCheckpoint(), validCheckpoint()} {
 		var buf bytes.Buffer
@@ -56,39 +59,27 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointSniffsFormat: the package-level decoder must accept
-// both wire formats without being told which one it is reading — legacy
-// JSON spools and new binary spools flow through the same resume paths.
-func TestDecodeCheckpointSniffsFormat(t *testing.T) {
-	cp := richCheckpoint()
-	codecs := []Codec{JSONCodec{}, BinaryCodec{}}
-	for _, c := range codecs {
-		var buf bytes.Buffer
-		if err := c.EncodeCheckpoint(&buf, cp); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeCheckpoint(&buf)
-		if err != nil {
-			t.Fatalf("%s: sniffing decode failed: %v", c.Name(), err)
-		}
-		if !reflect.DeepEqual(got, cp) {
-			t.Fatalf("%s: sniffing round trip diverged:\n got %+v\nwant %+v", c.Name(), got, cp)
-		}
+// TestDecodeRefusesJSONCheckpoint: a checkpoint written as a JSON
+// document (the shape older spools held, with snake_case keys, or the
+// default field-name rendering) is not a checkpoint any more. The decoder
+// must refuse it with an error, not decode it and not panic.
+func TestDecodeRefusesJSONCheckpoint(t *testing.T) {
+	fieldNames, err := json.MarshalIndent(richCheckpoint(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestCodecByName(t *testing.T) {
-	for name, want := range map[string]string{"": "binary", "binary": "binary", "json": "json"} {
-		c, err := CodecByName(name)
-		if err != nil {
-			t.Fatalf("CodecByName(%q): %v", name, err)
+	for _, doc := range [][]byte{
+		[]byte(`{"version": 1, "threads": 2, "buffer_size": 2, "model": "TSO", "runs": 0, "counts": {}, "max_occupancy": [0, 0], "units": []}`),
+		fieldNames,
+		[]byte("  \n{}"),
+	} {
+		cp, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(doc))
+		if err == nil || cp != nil {
+			t.Fatalf("JSON document %.40q decoded: cp=%+v err=%v", doc, cp, err)
 		}
-		if c.Name() != want {
-			t.Fatalf("CodecByName(%q) = %s, want %s", name, c.Name(), want)
+		if !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("JSON document %.40q: got %v, want a bad-magic error", doc, err)
 		}
-	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Fatal("unknown codec name accepted")
 	}
 }
 
@@ -117,8 +108,8 @@ func TestBinaryDecodeRejectsCorrupt(t *testing.T) {
 	// A future format version must be refused, not misparsed.
 	future := append([]byte(nil), good...)
 	future[4] = 99
-	if _, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(future)); err == nil {
-		t.Fatal("future format version decoded without error")
+	if _, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(future)); !errors.Is(err, ErrCodecVersion) {
+		t.Fatalf("future format version: got %v, want ErrCodecVersion", err)
 	}
 	// Single-byte corruption anywhere must never produce a silently
 	// different checkpoint that passes validation as a different value —
@@ -139,6 +130,52 @@ func TestBinaryDecodeRejectsCorrupt(t *testing.T) {
 			// carries no checksum by design (spool writes are atomic and
 			// local); this loop only guards against panics and hangs.
 			continue
+		}
+	}
+}
+
+// TestBinaryDecodeBoundsAllocation: a short stream that declares a huge
+// slice or outcome table must fail on EOF without first allocating for
+// the declared length — a torn or hostile spool file must not be able to
+// make the decoder reserve hundreds of megabytes.
+func TestBinaryDecodeBoundsAllocation(t *testing.T) {
+	huge := func(prefix func(bw *binWriter)) []byte {
+		var out bytes.Buffer
+		out.Write(binMagic[:])
+		bw := &binWriter{w: bufio.NewWriter(&out)}
+		prefix(bw)
+		bw.uvint(1 << 22) // a declared length with no elements behind it
+		if err := bw.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	header := func(bw *binWriter) {
+		bw.vint(2) // threads
+		bw.vint(2) // buffer size
+		bw.str("TSO")
+		bw.bool(false)
+		bw.str("")
+		bw.vint(0)     // reorder
+		bw.bool(false) // DPOR
+		for i := 0; i < 14; i++ {
+			bw.vint(0) // runs, step-limited, tree and prune statistics
+		}
+	}
+	for name, raw := range map[string][]byte{
+		"counts":    huge(header),
+		"occupancy": huge(func(bw *binWriter) { header(bw); bw.uvint(0) }),
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated stream decoded", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte stream allocated %d bytes", name, len(raw), grew)
 		}
 	}
 }
@@ -205,13 +242,13 @@ func TestIRIWBinaryCheckpointResumeByteIdentical(t *testing.T) {
 			t.Fatal("resume not converging")
 		}
 		var buf bytes.Buffer
-		if err := res.Checkpoint.Encode(&buf); err != nil {
+		if err := (BinaryCodec{}).EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.HasPrefix(buf.Bytes(), []byte("TSOF")) {
-			t.Fatal("default checkpoint encoding is not the binary codec")
+			t.Fatal("checkpoint encoding does not open with the TSOF magic")
 		}
-		cp, err := DecodeCheckpoint(&buf)
+		cp, err := (BinaryCodec{}).DecodeCheckpoint(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,85 +266,61 @@ func TestIRIWBinaryCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestJSONSpoolMigratesToBinaryDefault is the legacy-migration bar: a
-// checkpoint written by the JSON-era spool must resume under the
-// binary-default build to identical counts, and the resumed leg's own
-// checkpoints must come out binary.
-func TestJSONSpoolMigratesToBinaryDefault(t *testing.T) {
+// FuzzDecodeCheckpoint: spool files and wire payloads are input from
+// outside the program, so the decoder must never panic on any byte
+// stream; whatever it accepts must be a valid checkpoint, and it must be
+// a fixed point of the codec: decode(encode(decode(b))) equals decode(b).
+func FuzzDecodeCheckpoint(f *testing.F) {
 	mk, out := sbProgsShared(false)
-	cfg := Config{Threads: 2, BufferSize: 3}
-	opts := ExhaustiveOptions{Parallel: 2, Prune: true}
-	want, wantRes := ExploreExhaustive(cfg, mk, out, opts)
-	if !wantRes.Complete {
-		t.Fatal("reference exploration incomplete")
-	}
-
-	bounded := opts
-	bounded.MaxRuns = 10
-	set, res := ExploreExhaustive(cfg, mk, out, bounded)
-	if res.Complete || res.Checkpoint == nil {
-		t.Fatal("expected an interrupted run with a checkpoint")
-	}
-	// Spool the first leg the way the JSON era did.
-	var spool bytes.Buffer
-	if err := res.Checkpoint.EncodeJSON(&spool); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(bytes.TrimSpace(spool.Bytes()), []byte("{")) {
-		t.Fatal("JSON spool does not look like JSON")
-	}
-	cp, err := DecodeCheckpoint(&spool)
-	if err != nil {
-		t.Fatalf("legacy JSON spool rejected: %v", err)
-	}
-	legs := 0
-	for !res.Complete {
-		if legs++; legs > 10000 {
-			t.Fatal("resume not converging")
-		}
-		leg := opts
-		leg.Resume = cp
-		set, res = ExploreExhaustive(cfg, mk, out, leg)
-		if !res.Complete {
-			var buf bytes.Buffer
-			if err := res.Checkpoint.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.HasPrefix(buf.Bytes(), []byte("TSOF")) {
-				t.Fatal("resumed build spooled a non-binary checkpoint by default")
-			}
-			if cp, err = DecodeCheckpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !reflect.DeepEqual(set.Counts, want.Counts) {
-		t.Fatalf("migrated counts diverge:\n got %v\nwant %v", set.Counts, want.Counts)
-	}
-}
-
-// TestBinaryCheckpointFiveTimesSmaller: on a realistic mid-flight frontier
-// the binary encoding must be at least 5x smaller than the JSON encoding
-// of the same checkpoint — the size bar the codec was built for.
-func TestBinaryCheckpointFiveTimesSmaller(t *testing.T) {
-	mk, out := iriwProgs()
-	cfg := Config{Threads: 4, BufferSize: 1}
-	opts := ExhaustiveOptions{ExploreOptions: ExploreOptions{MaxRuns: 200}, Prune: true, Units: 64}
-	_, res := ExploreExhaustive(cfg, mk, out, opts)
+	seeds := []*Checkpoint{richCheckpoint(), validCheckpoint()}
+	// A mid-flight DPOR frontier carries resume prefixes and done masks.
+	_, res := ExploreExhaustive(Config{Threads: 2, BufferSize: 2}, mk, out,
+		ExhaustiveOptions{ExploreOptions: ExploreOptions{MaxRuns: 20}, DPOR: true})
 	if res.Checkpoint == nil {
-		t.Fatal("expected a mid-flight checkpoint")
+		f.Fatal("expected a mid-flight DPOR checkpoint")
 	}
-	var bin, js bytes.Buffer
-	if err := res.Checkpoint.Encode(&bin); err != nil {
-		t.Fatal(err)
+	seeds = append(seeds, res.Checkpoint)
+	for _, o := range []ExhaustiveOptions{
+		{Units: 4},
+		{Units: 8, Label: "sb", MaxReorderings: 1},
+		{Units: 3, DPOR: true},
+	} {
+		for _, cfg := range []Config{{Threads: 2, BufferSize: 2}, {Threads: 2, BufferSize: 1, DrainBuffer: true}} {
+			cp, err := ShardFrontier(cfg, mk, o)
+			if err != nil {
+				f.Fatalf("ShardFrontier: %v", err)
+			}
+			seeds = append(seeds, cp)
+		}
 	}
-	if err := res.Checkpoint.EncodeJSON(&js); err != nil {
-		t.Fatal(err)
+	for _, cp := range seeds {
+		var buf bytes.Buffer
+		if err := (BinaryCodec{}).EncodeCheckpoint(&buf, cp); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	if js.Len() < 5*bin.Len() {
-		t.Fatalf("binary checkpoint %d bytes vs JSON %d: less than 5x smaller (%d units)",
-			bin.Len(), js.Len(), len(res.Checkpoint.Units))
-	}
-	t.Logf("checkpoint size: binary %d bytes, JSON %d bytes (%.1fx), %d units",
-		bin.Len(), js.Len(), float64(js.Len())/float64(bin.Len()), len(res.Checkpoint.Units))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			if cp != nil {
+				t.Fatalf("decode failed (%v) but returned a checkpoint", err)
+			}
+			return
+		}
+		if err := cp.Validate(); err != nil {
+			t.Fatalf("decoder accepted an invalid checkpoint: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := (BinaryCodec{}).EncodeCheckpoint(&buf, cp); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := (BinaryCodec{}).DecodeCheckpoint(&buf)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted checkpoint: %v", err)
+		}
+		if !reflect.DeepEqual(again, cp) {
+			t.Fatalf("codec round trip diverged:\n got %+v\nwant %+v", again, cp)
+		}
+	})
 }

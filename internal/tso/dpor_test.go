@@ -299,7 +299,7 @@ func TestDPORResumeRoundTrip(t *testing.T) {
 		if err := (BinaryCodec{}).EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
 			t.Fatalf("leg %d: encode: %v", leg, err)
 		}
-		rt, err := DecodeCheckpoint(&buf)
+		rt, err := (BinaryCodec{}).DecodeCheckpoint(&buf)
 		if err != nil {
 			t.Fatalf("leg %d: decode: %v", leg, err)
 		}
@@ -424,7 +424,7 @@ func TestResumeMutationMatrix(t *testing.T) {
 
 	decode := func(t *testing.T, raw []byte) (*Checkpoint, error) {
 		t.Helper()
-		return DecodeCheckpoint(bytes.NewReader(raw))
+		return (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(raw))
 	}
 
 	cases := []struct {
@@ -497,78 +497,94 @@ func TestResumeMutationMatrix(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecReadsV1 pins backward compatibility of wire v2: a
-// v1-tagged stream (no DPOR flag, no DPOR counters, no done masks) must
-// still decode, with the v2 fields zero.
-func TestBinaryCodecReadsV1(t *testing.T) {
+// TestBinaryCodecRefusesOldVersions: wire v3 is the only checkpoint
+// format. Streams in the v1 layout (no DPOR fields) and the v2 layout
+// (DPOR fields, done masks) both carried a per-checkpoint version varint
+// after the header; each must be refused by its header byte with
+// ErrCodecVersion rather than misparsed, and so must a current stream
+// relabeled with either old byte.
+func TestBinaryCodecRefusesOldVersions(t *testing.T) {
 	mk, _ := sbProgsShared(false)
 	cfg := Config{Threads: 2, BufferSize: 2}
 	cp, err := ShardFrontier(cfg, mk, ExhaustiveOptions{Units: 4})
 	if err != nil {
 		t.Fatalf("ShardFrontier: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := (BinaryCodec{}).EncodeCheckpoint(&buf, cp); err != nil {
+	var cur bytes.Buffer
+	if err := (BinaryCodec{}).EncodeCheckpoint(&cur, cp); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	raw := buf.Bytes()
-
-	// Rewrite the stream as its v1 prefix: same header bytes up to the
-	// Reorder varint, dropping the v2-only insertions. Easiest done by
-	// re-encoding field-by-field with a v1 layout.
-	var v1 bytes.Buffer
-	v1.Write([]byte{'T', 'S', 'O', 'F', binVersionV1})
-	bw := &binWriter{w: bufio.NewWriter(&v1)}
-	bw.vint(int64(cp.Version))
-	bw.vint(int64(cp.Threads))
-	bw.vint(int64(cp.BufferSize))
-	bw.str(cp.Model)
-	bw.bool(cp.DrainBuffer)
-	bw.str(cp.Label)
-	bw.vint(int64(cp.Reorder))
-	bw.vint(int64(cp.Runs))
-	bw.vint(int64(cp.StepLimited))
-	bw.vint(int64(cp.Tree.MaxDepth))
-	bw.vint(int64(cp.Tree.MaxFanout))
-	bw.vint(cp.Tree.ChoicePoints)
-	bw.vint(cp.Prune.StatesSeen)
-	bw.vint(cp.Prune.StatesDeduped)
-	bw.vint(cp.Prune.SubtreesCut)
-	bw.vint(cp.Prune.SchedulesSaved)
-	bw.vint(cp.Prune.SleepSkips)
-	bw.vint(cp.Prune.ReorderSkips)
-	bw.uvint(0) // counts: empty map
-	bw.ints(cp.MaxOccupancy)
-	bw.uvint(uint64(len(cp.Units)))
-	for _, u := range cp.Units {
-		bw.ints(u.Root)
-		bw.ints(u.RootFanout)
-		bw.ints(u.Prefix)
-		bw.ints(u.Fanout)
-	}
-	if bw.err == nil {
-		bw.err = bw.w.Flush()
-	}
-	if bw.err != nil {
-		t.Fatalf("hand-encode v1: %v", bw.err)
-	}
-	got, err := DecodeCheckpoint(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
-	}
-	if got.DPOR {
-		t.Fatalf("v1 stream decoded with DPOR set")
-	}
-	if got.Threads != cp.Threads || len(got.Units) != len(cp.Units) {
-		t.Fatalf("v1 decode mangled: threads=%d units=%d", got.Threads, len(got.Units))
-	}
-	for i, u := range got.Units {
-		if u.Done != nil {
-			t.Fatalf("unit %d: v1 stream decoded with done masks", i)
+	// legacy hand-encodes cp in the layout wire version ver used.
+	legacy := func(ver byte) []byte {
+		var out bytes.Buffer
+		out.Write([]byte{'T', 'S', 'O', 'F', ver})
+		bw := &binWriter{w: bufio.NewWriter(&out)}
+		bw.vint(1) // the retired Checkpoint.Version field
+		bw.vint(int64(cp.Threads))
+		bw.vint(int64(cp.BufferSize))
+		bw.str(cp.Model)
+		bw.bool(cp.DrainBuffer)
+		bw.str(cp.Label)
+		bw.vint(int64(cp.Reorder))
+		if ver >= 2 {
+			bw.bool(cp.DPOR)
 		}
-		if !reflect.DeepEqual(u.Root, cp.Units[i].Root) {
-			t.Fatalf("unit %d: root %v, want %v", i, u.Root, cp.Units[i].Root)
+		bw.vint(int64(cp.Runs))
+		bw.vint(int64(cp.StepLimited))
+		bw.vint(int64(cp.Tree.MaxDepth))
+		bw.vint(int64(cp.Tree.MaxFanout))
+		bw.vint(cp.Tree.ChoicePoints)
+		bw.vint(cp.Prune.StatesSeen)
+		bw.vint(cp.Prune.StatesDeduped)
+		bw.vint(cp.Prune.SubtreesCut)
+		bw.vint(cp.Prune.SchedulesSaved)
+		bw.vint(cp.Prune.SleepSkips)
+		bw.vint(cp.Prune.ReorderSkips)
+		if ver >= 2 {
+			bw.vint(cp.Prune.DPORRaces)
+			bw.vint(cp.Prune.DPORBacktracks)
+			bw.vint(cp.Prune.DPORSleepSkips)
+		}
+		bw.uvint(0) // counts: empty map
+		bw.ints(cp.MaxOccupancy)
+		bw.uvint(uint64(len(cp.Units)))
+		for _, u := range cp.Units {
+			bw.ints(u.Root)
+			bw.ints(u.RootFanout)
+			bw.ints(u.Prefix)
+			bw.ints(u.Fanout)
+			if ver >= 2 {
+				bw.uints64(u.Done)
+			}
+		}
+		if bw.err == nil {
+			bw.err = bw.w.Flush()
+		}
+		if bw.err != nil {
+			t.Fatalf("hand-encode v%d: %v", ver, bw.err)
+		}
+		return out.Bytes()
+	}
+	relabel := func(ver byte) []byte {
+		raw := append([]byte(nil), cur.Bytes()...)
+		raw[4] = ver
+		return raw
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"v1-layout", legacy(1)},
+		{"v2-layout", legacy(2)},
+		{"v3-relabeled-1", relabel(1)},
+		{"v3-relabeled-2", relabel(2)},
+	} {
+		got, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(tc.raw))
+		if !errors.Is(err, ErrCodecVersion) || got != nil {
+			t.Errorf("%s: got cp=%v err=%v, want ErrCodecVersion", tc.name, got, err)
 		}
 	}
-	_ = raw
+	if _, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(cur.Bytes())); err != nil {
+		t.Fatalf("current stream refused: %v", err)
+	}
 }

@@ -2,13 +2,13 @@ package tso
 
 // This file is the frontier layer of the exhaustive engine: it partitions
 // the decision tree into choice-prefix work units, drives them across a
-// worker pool, merges their results deterministically, and serializes the
-// unexplored remainder as a resumable Checkpoint.
+// worker pool, merges their results deterministically, and captures the
+// unexplored remainder as a resumable Checkpoint, whose one wire format is
+// BinaryCodec (codec.go).
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -17,35 +17,31 @@ import (
 // exploration that stopped at its run budget: everything accounted so far
 // (outcome counts, occupancy high-water marks, tree/prune statistics) plus
 // the resumable position of every unfinished work unit. It round-trips
-// through the binary wire format via Encode/DecodeCheckpoint (codec.go);
-// legacy JSON spools stay decodable through the same DecodeCheckpoint.
+// through BinaryCodec (codec.go), the one checkpoint wire format.
 type Checkpoint struct {
-	Version      int              `json:"version"`
-	Threads      int              `json:"threads"`
-	BufferSize   int              `json:"buffer_size"`
-	Model        string           `json:"model"`
-	DrainBuffer  bool             `json:"drain_buffer,omitempty"`
+	Threads     int
+	BufferSize  int
+	Model       string
+	DrainBuffer bool
 	// Label is an optional caller tag (tsoexplore stamps its phase name)
 	// checked at resume when both sides set one, so two explorations
 	// spooling under one path prefix cannot silently swap frontiers.
-	Label string `json:"label,omitempty"`
+	Label string
 	// Reorder is the reorder bound the exploration ran under (0:
-	// unbounded — the only value legacy checkpoints carry). Resume
-	// requires the same bound: a frontier pruned at k is not a valid
-	// position of any other exploration.
-	Reorder int `json:"reorder,omitempty"`
-	// DPOR records whether the exploration ran under source-set DPOR
-	// (always false in legacy checkpoints). Resume requires agreement:
-	// a DPOR frontier's unexplored remainder is meaningful only with
-	// the per-unit Done masks and vice versa.
-	DPOR         bool             `json:"dpor,omitempty"`
-	Runs         int              `json:"runs"`
-	StepLimited  int              `json:"step_limited,omitempty"`
-	Counts       map[string]int   `json:"counts"`
-	MaxOccupancy []int            `json:"max_occupancy"`
-	Tree         TreeStats        `json:"tree"`
-	Prune        PruneStats       `json:"prune"`
-	Units        []UnitCheckpoint `json:"units"`
+	// unbounded). Resume requires the same bound: a frontier pruned at k
+	// is not a valid position of any other exploration.
+	Reorder int
+	// DPOR records whether the exploration ran under source-set DPOR.
+	// Resume requires agreement: a DPOR frontier's unexplored remainder
+	// is meaningful only with the per-unit Done masks and vice versa.
+	DPOR         bool
+	Runs         int
+	StepLimited  int
+	Counts       map[string]int
+	MaxOccupancy []int
+	Tree         TreeStats
+	Prune        PruneStats
+	Units        []UnitCheckpoint
 }
 
 // UnitCheckpoint is the resumable position of one work unit: the unit's
@@ -53,42 +49,25 @@ type Checkpoint struct {
 // its next unexplored branch (with the recorded fanouts for the
 // replay-determinism check).
 type UnitCheckpoint struct {
-	Root       []int `json:"root,omitempty"`
-	RootFanout []int `json:"root_fanout,omitempty"`
-	Prefix     []int `json:"prefix,omitempty"`
-	Fanout     []int `json:"fanout,omitempty"`
+	Root       []int
+	RootFanout []int
+	Prefix     []int
+	Fanout     []int
 	// Done is DPOR mode's per-frame explored-branch bitmask, one per
 	// prefix depth past the unit root. DPOR backtracking visits
 	// branches out of ascending order, so "everything before the
 	// current choice" does not describe what finished; these masks do.
-	Done []uint64 `json:"done,omitempty"`
-}
-
-// Encode writes the checkpoint in the default wire format (the binary
-// codec; see codec.go). DecodeCheckpoint reads it back — and still reads
-// the legacy JSON format older spools hold.
-func (cp *Checkpoint) Encode(w io.Writer) error {
-	return DefaultCodec.EncodeCheckpoint(w, cp)
-}
-
-// EncodeJSON writes the checkpoint in the legacy indented-JSON wire
-// format — for human inspection and for exercising the migration path;
-// new spools should use Encode.
-func (cp *Checkpoint) EncodeJSON(w io.Writer) error {
-	return JSONCodec{}.EncodeCheckpoint(w, cp)
+	Done []uint64
 }
 
 // Validate checks the checkpoint's structural integrity independent of
-// any machine configuration: a supported version, a known memory-model
-// string, non-negative progress counters, and per-unit choice prefixes
+// any machine configuration: a known memory-model string, non-negative
+// progress counters, and per-unit choice prefixes
 // whose recorded fanouts are consistent (every choice within its fanout,
 // resume paths extending their unit root). It does not check that the
 // checkpoint matches a particular Config — resume does that — only that
 // the frontier is a well-formed tree position at all.
 func (cp *Checkpoint) Validate() error {
-	if cp.Version != 1 {
-		return fmt.Errorf("tso: unsupported checkpoint version %d", cp.Version)
-	}
 	if cp.Threads < 1 {
 		return fmt.Errorf("tso: checkpoint needs at least 1 thread, got %d", cp.Threads)
 	}
@@ -429,7 +408,6 @@ func buildCheckpoint(c Config, o ExhaustiveOptions, units []*mcUnit, set Outcome
 		reorder = o.MaxReorderings
 	}
 	cp := &Checkpoint{
-		Version:      1,
 		Threads:      c.Threads,
 		BufferSize:   c.BufferSize,
 		Model:        c.Model.String(),

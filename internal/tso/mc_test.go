@@ -189,10 +189,10 @@ func TestExhaustiveResumeRoundTrip(t *testing.T) {
 			t.Fatalf("resume not converging after %d legs", legs)
 		}
 		var buf bytes.Buffer
-		if err := res.Checkpoint.Encode(&buf); err != nil {
+		if err := (BinaryCodec{}).EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := DecodeCheckpoint(&buf)
+		cp, err := (BinaryCodec{}).DecodeCheckpoint(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

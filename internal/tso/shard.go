@@ -42,7 +42,6 @@ func ShardFrontier(cfg Config, mkProgs func(m *Machine) []func(Context), opts Ex
 		reorder = o.MaxReorderings
 	}
 	cp := &Checkpoint{
-		Version:      1,
 		Threads:      c.Threads,
 		BufferSize:   c.BufferSize,
 		Model:        c.Model.String(),
@@ -81,7 +80,6 @@ func cloneUnit(u UnitCheckpoint) UnitCheckpoint {
 // with cp or each other.
 func (cp *Checkpoint) Shards() (base *Checkpoint, shards []*Checkpoint) {
 	base = &Checkpoint{
-		Version:      cp.Version,
 		Threads:      cp.Threads,
 		BufferSize:   cp.BufferSize,
 		Model:        cp.Model,
@@ -101,7 +99,6 @@ func (cp *Checkpoint) Shards() (base *Checkpoint, shards []*Checkpoint) {
 	}
 	for _, u := range cp.Units {
 		shards = append(shards, &Checkpoint{
-			Version:      cp.Version,
 			Threads:      cp.Threads,
 			BufferSize:   cp.BufferSize,
 			Model:        cp.Model,
@@ -226,7 +223,6 @@ func (f *Fold) Checkpoint(cfg Config, units []UnitCheckpoint) (*Checkpoint, erro
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cp := &Checkpoint{
-		Version:      1,
 		Threads:      c.Threads,
 		BufferSize:   c.BufferSize,
 		Model:        c.Model.String(),
