@@ -1,6 +1,7 @@
 package litmusdsl
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,9 +56,9 @@ func TestDPORIdentityAcrossLibrary(t *testing.T) {
 	}
 }
 
-// TestDPORRunRejections pins the error paths Run mirrors from the
-// exploration engine's dporCheck, so misconfiguration surfaces as an
-// error rather than a panic.
+// TestDPORRunRejections pins that Run returns the engine's DPOR
+// refusals (tso.ExhaustiveOptions.Validate) as errors rather than
+// panicking out of the exploration.
 func TestDPORRunRejections(t *testing.T) {
 	var pso *Test
 	for _, src := range Library {
@@ -69,12 +70,12 @@ func TestDPORRunRejections(t *testing.T) {
 	if pso == nil {
 		t.Fatal("library has no PSO test")
 	}
-	if _, err := Run(pso, RunOptions{DPOR: true}); err == nil || !strings.Contains(err.Error(), "PSO") {
-		t.Errorf("DPOR on a PSO test: err = %v, want PSO rejection", err)
+	if _, err := Run(pso, RunOptions{DPOR: true}); !errors.Is(err, tso.ErrDPORModel) || !strings.Contains(err.Error(), pso.Name) {
+		t.Errorf("DPOR on a PSO test: err = %v, want ErrDPORModel naming the test", err)
 	}
 	sb := mustParse(t, Library[0])
-	if _, err := Run(sb, RunOptions{DPOR: true, MaxReorderings: 1}); err == nil || !strings.Contains(err.Error(), "reorder") {
-		t.Errorf("DPOR with a reorder bound: err = %v, want reorder rejection", err)
+	if _, err := Run(sb, RunOptions{DPOR: true, MaxReorderings: 1}); !errors.Is(err, tso.ErrDPORReorder) {
+		t.Errorf("DPOR with a reorder bound: err = %v, want ErrDPORReorder", err)
 	}
 }
 

@@ -80,8 +80,9 @@ type RunOptions struct {
 	// Mazurkiewicz equivalence class. The outcome *set*, the verdict,
 	// Complete, and MaxOccupancy are preserved exactly; per-outcome
 	// counts collapse to one per class. Requires the TSO model and no
-	// MaxReorderings (Run returns an error otherwise); Prune and
-	// SleepSets are superseded and auto-disabled under it.
+	// MaxReorderings (Run returns the tso.ExhaustiveOptions.Validate
+	// refusal otherwise); Prune and SleepSets are superseded and
+	// auto-disabled under it.
 	DPOR bool
 }
 
@@ -90,16 +91,6 @@ type RunOptions struct {
 func Run(t *Test, opts RunOptions) (Result, error) {
 	if opts.MaxSchedules <= 0 {
 		opts.MaxSchedules = 2_000_000
-	}
-	if opts.DPOR {
-		// Mirror tso's dporCheck so misconfiguration surfaces as an error
-		// from Run rather than a panic out of the exploration engine.
-		if t.Model == tso.ModelPSO {
-			return Result{}, fmt.Errorf("litmusdsl: %s: DPOR requires the TSO model, test declares PSO", t.Name)
-		}
-		if opts.MaxReorderings > 0 {
-			return Result{}, fmt.Errorf("litmusdsl: %s: DPOR cannot combine with a reorder bound", t.Name)
-		}
 	}
 	// Collect the variables and registers the test mentions.
 	vars := map[string]bool{}
@@ -217,14 +208,20 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 	}
 
 	cfg := tso.Config{Threads: len(t.Procs), BufferSize: t.SBuf, Model: t.Model}
-	set, eres := tso.ExploreExhaustive(cfg, mk, outcome, tso.ExhaustiveOptions{
+	eopts := tso.ExhaustiveOptions{
 		ExploreOptions: tso.ExploreOptions{MaxRuns: opts.MaxSchedules},
 		Parallel:       opts.Parallel,
 		Prune:          opts.Prune,
 		SleepSets:      opts.SleepSets,
 		MaxReorderings: opts.MaxReorderings,
 		DPOR:           opts.DPOR,
-	})
+	}
+	// Surface a refused configuration as an error rather than a panic
+	// out of the exploration engine.
+	if err := eopts.Validate(cfg); err != nil {
+		return Result{}, fmt.Errorf("litmusdsl: %s: %w", t.Name, err)
+	}
+	set, eres := tso.ExploreExhaustive(cfg, mk, outcome, eopts)
 
 	res := Result{Test: t, Complete: eres.Complete, Schedules: set.Total(), Executed: eres.Runs,
 		Outcomes: set.Counts, MaxOccupancy: set.MaxOccupancy, Tree: eres.Tree, Prune: eres.Prune}

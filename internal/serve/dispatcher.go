@@ -64,7 +64,7 @@ type job struct {
 	state       JobState
 	errMsg      string
 	fold        *tso.Fold
-	outstanding map[int]tso.UnitCheckpoint
+	outstanding map[int]*tso.Checkpoint // single-unit shards (Checkpoint.Shards)
 	nextUnit    int
 	budget      int // remaining executed-schedule budget (prepaid per slice)
 	budgetTotal int
@@ -132,7 +132,7 @@ func (s *Server) newJob(id string, spec JobSpec) (*job, error) {
 		out:         out,
 		state:       StateQueued,
 		fold:        tso.NewFold(sc.Config.Threads),
-		outstanding: map[int]tso.UnitCheckpoint{},
+		outstanding: map[int]*tso.Checkpoint{},
 		budget:      budget,
 		budgetTotal: budget,
 	}, nil
@@ -255,7 +255,7 @@ func (s *Server) recordLocked(j *job) *Record {
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			units = append(units, j.outstanding[id])
+			units = append(units, j.outstanding[id].Units[0])
 		}
 		cp, err := j.fold.Checkpoint(j.cfg, units)
 		if err == nil {
@@ -318,7 +318,7 @@ func (s *Server) plan(ctx context.Context, id string) error {
 	for _, shard := range shards {
 		uid := j.nextUnit
 		j.nextUnit++
-		j.outstanding[uid] = shard.Units[0]
+		j.outstanding[uid] = shard
 		s.enqueueSliceLocked(j, uid)
 	}
 	j.dirty = true
@@ -342,29 +342,6 @@ func (s *Server) enqueueSliceLocked(j *job, uid int) {
 	}
 }
 
-// shardCheckpoint builds a zero-progress single-unit checkpoint for a
-// slice resume; slices are deep-copied so engine and dispatcher never
-// alias.
-func shardCheckpoint(cfg tso.Config, model string, reorder int, dpor bool, u tso.UnitCheckpoint) *tso.Checkpoint {
-	return &tso.Checkpoint{
-		Threads:      cfg.Threads,
-		BufferSize:   cfg.BufferSize,
-		Model:        model,
-		DrainBuffer:  cfg.DrainBuffer,
-		Reorder:      reorder,
-		DPOR:         dpor,
-		Counts:       map[string]int{},
-		MaxOccupancy: make([]int, cfg.Threads),
-		Units: []tso.UnitCheckpoint{{
-			Root:       append([]int(nil), u.Root...),
-			RootFanout: append([]int(nil), u.RootFanout...),
-			Prefix:     append([]int(nil), u.Prefix...),
-			Fanout:     append([]int(nil), u.Fanout...),
-			Done:       append([]uint64(nil), u.Done...),
-		}},
-	}
-}
-
 // explore runs one budget slice of one outstanding unit and folds its
 // delta. The slice resumes a zero-progress checkpoint, so the engine
 // returns a pure delta and the fold stays order-independent; the budget
@@ -377,7 +354,7 @@ func (s *Server) explore(ctx context.Context, id string, uid int) error {
 		s.mu.Unlock()
 		return nil
 	}
-	unit, ok := j.outstanding[uid]
+	cp, ok := j.outstanding[uid]
 	if !ok {
 		s.mu.Unlock()
 		return nil
@@ -393,7 +370,6 @@ func (s *Server) explore(ctx context.Context, id string, uid int) error {
 		return nil
 	}
 	j.budget -= take
-	cp := shardCheckpoint(j.cfg, j.cfg.Model.String(), j.spec.MaxReorderings, j.spec.DPOR, unit)
 	mk, out, cfg := j.mk, j.out, j.cfg
 	prune := !j.spec.NoPrune && !j.spec.DPOR
 	reorder := j.spec.MaxReorderings
@@ -438,7 +414,7 @@ func (s *Server) explore(ctx context.Context, id string, uid int) error {
 				nid = j.nextUnit
 				j.nextUnit++
 			}
-			j.outstanding[nid] = r.Units[0]
+			j.outstanding[nid] = r
 			if i > 0 && !s.draining && j.budget > 0 {
 				s.enqueueSliceLocked(j, nid)
 			}
@@ -695,7 +671,7 @@ func (s *Server) resume() error {
 		for _, shard := range shards {
 			uid := j.nextUnit
 			j.nextUnit++
-			j.outstanding[uid] = shard.Units[0]
+			j.outstanding[uid] = shard
 			s.enqueueSliceLocked(j, uid)
 		}
 		if len(shards) == 0 && j.inFlight == 0 {

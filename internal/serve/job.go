@@ -25,8 +25,9 @@ var (
 	ErrBadReorder = errors.New("serve: max reorderings must be >= 0")
 	// ErrBadDPOR rejects a DPOR job that also sets a reorder bound: the
 	// bound is not closed under the commuting swaps DPOR prunes by, so
-	// the combination could drop reachable verdicts.
-	ErrBadDPOR = errors.New("serve: dpor cannot combine with max reorderings")
+	// the combination could drop reachable verdicts. It is the engine's
+	// own refusal, tso.ErrDPORReorder.
+	ErrBadDPOR = tso.ErrDPORReorder
 )
 
 // JobState is a job's position in its lifecycle.
@@ -122,9 +123,6 @@ func (js JobSpec) Compile() (oracle.Program, oracle.Spec, error) {
 	if js.MaxReorderings < 0 {
 		return oracle.Program{}, nil, fmt.Errorf("%w: got %d", ErrBadReorder, js.MaxReorderings)
 	}
-	if js.DPOR && js.MaxReorderings > 0 {
-		return oracle.Program{}, nil, fmt.Errorf("%w: got max_reorderings %d", ErrBadDPOR, js.MaxReorderings)
-	}
 	p := oracle.Program{
 		Algo:      algo,
 		S:         js.S,
@@ -141,6 +139,9 @@ func (js JobSpec) Compile() (oracle.Program, oracle.Spec, error) {
 	}
 	if err := p.Validate(); err != nil {
 		return oracle.Program{}, nil, err
+	}
+	if err := (tso.ExhaustiveOptions{DPOR: js.DPOR, MaxReorderings: js.MaxReorderings}).Validate(p.Config()); err != nil {
+		return oracle.Program{}, nil, fmt.Errorf("serve: %w", err)
 	}
 	spec := p.Spec()
 	if js.Spec != "" {

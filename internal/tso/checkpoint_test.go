@@ -68,6 +68,7 @@ func TestCheckpointValidateRejects(t *testing.T) {
 		}, "shorter than unit root"},
 		{"prefix-diverges-from-root", func(cp *Checkpoint) { cp.Units[1].Prefix[0] = 1 }, "diverges"},
 		{"prefix-choice-range", func(cp *Checkpoint) { cp.Units[1].Prefix[1] = 3 }, "outside fanout"},
+		{"done-masks-without-dpor", func(cp *Checkpoint) { cp.Units[1].Done = []uint64{1} }, "done-masks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -280,6 +280,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Fatal("expected a mid-flight DPOR checkpoint")
 	}
 	seeds = append(seeds, res.Checkpoint)
+	// The same frontier stripped of its DPOR stamp keeps its done masks,
+	// which Validate must refuse at the decode boundary.
+	stripped := *res.Checkpoint
+	stripped.DPOR = false
+	seeds = append(seeds, &stripped)
 	for _, o := range []ExhaustiveOptions{
 		{Units: 4},
 		{Units: 8, Label: "sb", MaxReorderings: 1},

@@ -11,9 +11,10 @@ package tso
 //     each other's enabledness) unless they belong to the same proc or
 //     their footprints conflict (write/write or read/write overlap).
 //     Source-set DPOR (dpor.go) consumes exactly this relation.
-//   - The legacy sleep-set relation independent(actID, actID), which
-//     only ever recognized drain/drain commutation, is re-derived below
-//     as the drain/drain special case of footprint disjointness.
+//   - Sleep sets (mc.go's childSleep) are computed over dependent() in
+//     every mode: over all of it under DPOR, and over its drain/drain
+//     fragment under SleepSets, where only drains ever sleep and a
+//     thread step counts as dependent on everything.
 //   - Per-run vector clocks over the executed events (dpor.go) define
 //     happens-before as the transitive closure of per-proc order plus
 //     dependence across procs — the relation race detection needs.
@@ -38,7 +39,11 @@ package tso
 // its own proc rather than sharing its thread's. Under PSO the drains
 // of one buffer are *not* serialized (the order is per-address only),
 // which breaks the proc abstraction; DPOR therefore requires ModelTSO
-// (see dporCheck in dpor.go).
+// (see ExhaustiveOptions.Validate). SleepSets does run under PSO: its
+// sleep entries match on footprint as well as proc, which tells the
+// drains of one buffer apart.
+
+import "slices"
 
 // fpAddr is an address in the extended (memory ∪ buffer pseudo-address)
 // space: real words are their non-negative Addr, buffers are negative.
@@ -143,14 +148,18 @@ func footprintInto(m *Machine, act action, reads, writes []fpAddr) footprint {
 	return footprint{reads: reads, writes: writes}
 }
 
-// footprintAlloc is footprintInto with exact-size owned slices, for
-// storage that outlives the current run (frame branch footprints).
-func footprintAlloc(m *Machine, act action) footprint {
-	fp := footprintInto(m, act, nil, nil)
-	return footprint{
-		reads:  append([]fpAddr(nil), fp.reads...),
-		writes: append([]fpAddr(nil), fp.writes...),
+// drainFPEffect inverts footprintInto for a drain: the memory word the
+// drain writes, or -1 for a buffer-internal step.
+func drainFPEffect(fp footprint) Addr {
+	if len(fp.writes) < 2 {
+		return -1
 	}
+	return Addr(fp.writes[1])
+}
+
+// fpEqual reports whether two footprints are element-wise identical.
+func fpEqual(a, b footprint) bool {
+	return slices.Equal(a.reads, b.reads) && slices.Equal(a.writes, b.writes)
 }
 
 // appendBuffered adds every address the buffer currently holds (entries
@@ -167,31 +176,6 @@ func appendBuffered(dst []fpAddr, b *storeBuffer) []fpAddr {
 		}
 	}
 	return dst
-}
-
-// actID identifies a schedulable action for the legacy sleep-set
-// commutativity analysis: a drain is named by its thread and the memory
-// address its next step writes (-1 when the step is internal to the
-// buffer: a move into the drain stage, or a same-address coalesce).
-// Thread actions never commute under this conservative analysis and
-// carry drain=false.
-type actID struct {
-	drain bool
-	tid   int
-	addr  Addr
-}
-
-// independent reports whether two actions commute under the legacy
-// analysis: drains by different threads whose memory effects cannot
-// conflict. Everything else is conservatively dependent. This is the
-// drain/drain special case of the footprint relation: a drain's
-// footprint writes {bufAddr(tid)} ∪ {addr | addr >= 0}, so two drains'
-// footprints are disjoint exactly when the threads differ and the
-// effect addresses differ or either is buffer-internal —
-// TestIndependentMatchesFootprints pins the equivalence.
-func independent(a, b actID) bool {
-	return a.drain && b.drain && a.tid != b.tid &&
-		(a.addr < 0 || b.addr < 0 || a.addr != b.addr)
 }
 
 // drainEffect mirrors storeBuffer.drainOne/drainAt: the address the drain
@@ -214,18 +198,4 @@ func drainEffect(m *Machine, act action) Addr {
 	default:
 		return b.stage.addr
 	}
-}
-
-// actIDsFor names every action at a choice point for the legacy
-// commutativity analysis.
-func actIDsFor(m *Machine, acts []action) []actID {
-	ids := make([]actID, len(acts))
-	for i, a := range acts {
-		if a.drain {
-			ids[i] = actID{drain: true, tid: a.id, addr: drainEffect(m, a)}
-		} else {
-			ids[i] = actID{tid: a.id}
-		}
-	}
-	return ids
 }

@@ -26,9 +26,10 @@ import (
 //     sequence v = (events after i not ordered after i) · e — the
 //     source-set condition. Frames explore exactly their backtrack set
 //     minus their sleep set.
-//   - Sleep sets are re-derived from the same dependence relation
-//     (full footprints, not just drain/drain), so the legacy SleepSets
-//     mode is a strict special case and is superseded under DPOR.
+//   - Sleep sets use the same dependence relation in full; SleepSets
+//     uses only its drain/drain fragment. Both run through mc.go's one
+//     childSleep, so SleepSets is a strict special case and is
+//     superseded under DPOR.
 //
 // What DPOR preserves and what it rejects:
 //
@@ -50,32 +51,39 @@ import (
 //     abstraction. MaxReorderings >= 1 is rejected: the bound is not
 //     closed under commuting swaps (a class's representative can carry
 //     a different reorder count than the member that witnessed it), so
-//     bounded outcome sets would not be preserved. Bounded POR à la
+//     bounded outcome sets would not be preserved (ExhaustiveOptions.
+//     Validate returns these refusals). Bounded POR à la
 //     Coons/Musuvathi (BPOR) is the documented open follow-up.
 
-// dporCheck validates a DPOR-mode exploration's configuration. It is
-// the single gate every entry point (ExploreExhaustive, ShardFrontier)
-// consults.
-func dporCheck(c Config, o ExhaustiveOptions) error {
-	if c.Model == ModelPSO {
-		return errors.New("tso: DPOR requires ModelTSO: PSO drains of one buffer are not serialized, which breaks the dependence layer's buffer-as-proc abstraction")
+// DPOR refusals, returned by ExhaustiveOptions.Validate (and so by every
+// entry point that consults it); wrap-compare with errors.Is.
+var (
+	// ErrDPORModel: DPOR under ModelPSO.
+	ErrDPORModel = errors.New("tso: DPOR requires ModelTSO: PSO drains of one buffer are not serialized, which breaks the dependence layer's buffer-as-proc abstraction")
+	// ErrDPORReorder: DPOR combined with MaxReorderings >= 1.
+	ErrDPORReorder = errors.New("tso: DPOR cannot combine with MaxReorderings: the reorder bound is not closed under commuting swaps, so a class representative may be pruned while the class stays reachable")
+	// ErrDPORThreads: DPOR with more threads than a checkpoint done-mask
+	// can cover.
+	ErrDPORThreads = errors.New("tso: DPOR supports at most 31 threads (checkpoint done-masks hold one bit per branch, fanout <= 2*threads <= 62)")
+)
+
+// Validate reports whether the options can explore programs on c: nil,
+// or the DPOR refusal (ErrDPORModel, ErrDPORReorder, ErrDPORThreads)
+// that ExploreExhaustive would panic with and ShardFrontier would
+// return. Callers holding externally supplied options check here first.
+func (o ExhaustiveOptions) Validate(c Config) error {
+	if !o.DPOR {
+		return nil
 	}
-	if o.MaxReorderings > 0 {
-		return errors.New("tso: DPOR cannot combine with MaxReorderings: the reorder bound is not closed under commuting swaps, so a class representative may be pruned while the class stays reachable")
-	}
-	if c.Threads > 31 {
-		return errors.New("tso: DPOR supports at most 31 threads (checkpoint done-masks hold one bit per branch, fanout <= 2*threads <= 62)")
+	switch {
+	case c.Model == ModelPSO:
+		return ErrDPORModel
+	case o.MaxReorderings > 0:
+		return ErrDPORReorder
+	case c.Threads > 31:
+		return ErrDPORThreads
 	}
 	return nil
-}
-
-// dsleepEntry is one member of a dependence-derived sleep set: the proc
-// whose action was fully explored at an ancestor and found independent
-// of everything chosen since, plus the footprint it had there (needed
-// to test independence against later chosen actions).
-type dsleepEntry struct {
-	proc int32
-	fp   footprint
 }
 
 // dporVCap bounds the reversing-sequence window race handling analyzes
@@ -94,8 +102,8 @@ type dporState struct {
 	base    int // real-address slot count this run; buffer t maps to base+t
 
 	nEvents int
-	procs   []int32   // per event
-	clocks  []int32   // nEvents × nProcs, row-major; clocks[e][q] = index of q's latest event happening-before e, or -1
+	procs   []int32    // per event
+	clocks  []int32    // nEvents × nProcs, row-major; clocks[e][q] = index of q's latest event happening-before e, or -1
 	evFP    [][4]int32 // per event: reads offset/len, writes offset/len into arena
 	arena   []fpAddr
 
@@ -367,142 +375,6 @@ func procsContain(s []int32, p int32) bool {
 			return true
 		}
 	}
-	return false
-}
-
-// childSleepD computes the dependence-derived sleep set arriving at the
-// child reached from the unit's deepest frame via its current branch:
-// inherited entries still independent of the chosen action, plus every
-// fully explored sibling that commutes with it.
-func (u *mcUnit) childSleepD() []dsleepEntry {
-	if len(u.frames) == 0 {
-		return nil
-	}
-	p := u.frames[len(u.frames)-1]
-	if p.procs == nil {
-		return nil // resumed frame: action identities unknown
-	}
-	chosen := u.prefix[p.depth]
-	cp, cfp := p.procs[chosen], p.fps[chosen]
-	var out []dsleepEntry
-	for _, t := range p.dsleep {
-		if !dependent(t.proc, t.fp, cp, cfp) {
-			out = append(out, t)
-		}
-	}
-	for b := 0; b < p.fanout; b++ {
-		if b == chosen || !p.done[b] {
-			continue
-		}
-		if p.skip != nil && p.skip[b] {
-			continue // never explored here; covered via an ancestor
-		}
-		if !dependent(p.procs[b], p.fps[b], cp, cfp) {
-			out = append(out, dsleepEntry{proc: p.procs[b], fp: p.fps[b]})
-		}
-	}
-	return out
-}
-
-// chooseDPOR is the DPOR-mode new-node path of mcRunner.choose: build
-// the frame's dependence bookkeeping (per-branch procs and footprints,
-// arriving sleep set, sleep-blocked branches), seed the backtrack set
-// with the first runnable branch, and record the event.
-func (r *mcRunner) chooseDPOR(acts []action) int {
-	e, u, m := r.e, r.u, r.m
-	d := r.depth
-	n := len(acts)
-	f := &mcFrame{depth: d, fanout: n}
-	u.res.Tree.node(d, n)
-	f.procs = make([]int32, n)
-	f.fps = make([]footprint, n)
-	for i, a := range acts {
-		f.procs[i] = procFor(e.cfg.Threads, a)
-		f.fps[i] = footprintAlloc(m, a)
-	}
-	f.bt = make([]bool, n)
-	f.done = make([]bool, n)
-	f.dsleep = u.childSleepD()
-	if len(f.dsleep) > 0 {
-		f.skip = make([]bool, n)
-		for i := range acts {
-			for _, t := range f.dsleep {
-				if t.proc == f.procs[i] {
-					f.skip[i] = true
-					u.res.Prune.DPORSleepSkips++
-					u.res.Prune.SubtreesCut++
-					break
-				}
-			}
-		}
-	}
-	b := -1
-	for i := 0; i < n; i++ {
-		if f.skip == nil || !f.skip[i] {
-			b = i
-			break
-		}
-	}
-	if b < 0 {
-		// Every branch is asleep: the node's whole subtree is covered by
-		// commuting explorations elsewhere.
-		r.cutHW = machineHWInto(m, r.cutHW)
-		r.cut = true
-		r.pol.cancel = true
-		return 0
-	}
-	f.bt[b] = true
-	r.dporRecord(acts[b], true)
-	u.frames = append(u.frames, f)
-	u.prefix = append(u.prefix, b)
-	u.fanout = append(u.fanout, n)
-	r.depth++
-	return b
-}
-
-// nextBT returns the smallest runnable branch of a DPOR frame — in the
-// backtrack set (or any branch, for resumed frames), not yet fully
-// explored, not asleep — or -1. Unlike the plain engine's ascending
-// nextAllowed, race handling can schedule branches below the current
-// one, so the scan restarts from zero and done-marking tracks coverage.
-func (f *mcFrame) nextBT() int {
-	for b := 0; b < f.fanout; b++ {
-		if f.done[b] {
-			continue
-		}
-		if f.all {
-			// A truncated run crossed this node: explore every branch,
-			// sleep skips included (see mcFrame.all).
-			return b
-		}
-		if f.skip != nil && f.skip[b] {
-			continue
-		}
-		if f.bt == nil || f.bt[b] {
-			return b
-		}
-	}
-	return -1
-}
-
-// advanceDPOR is the DPOR-mode advance: mark the retreating branch
-// done, then resume at the deepest frame whose backtrack set still
-// holds unexplored branches.
-func (e *mcEngine) advanceDPOR(u *mcUnit, rootLen int) bool {
-	for i := len(u.prefix) - 1; i >= rootLen; i-- {
-		f := u.frames[i-rootLen]
-		f.done[u.prefix[i]] = true
-		if nb := f.nextBT(); nb >= 0 {
-			e.finalizeFrames(u, i+1)
-			u.prefix = u.prefix[:i+1]
-			u.fanout = u.fanout[:i+1]
-			u.prefix[i] = nb
-			u.freshFrom = i
-			return true
-		}
-	}
-	e.finalizeFrames(u, rootLen)
-	u.complete = true
 	return false
 }
 

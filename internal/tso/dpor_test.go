@@ -9,48 +9,6 @@ import (
 	"testing"
 )
 
-// TestIndependentMatchesFootprints pins the claim in depend.go: the legacy
-// sleep-set relation independent(actID, actID) is exactly the drain/drain
-// special case of footprint disjointness. A drain's footprint writes its
-// buffer pseudo-address plus its memory effect address (when not
-// buffer-internal), so the two relations are checked against each other
-// over every small (tid, effect) combination.
-func TestIndependentMatchesFootprints(t *testing.T) {
-	const threads = 3
-	drainFP := func(tid int, eff Addr) footprint {
-		w := []fpAddr{bufAddr(tid)}
-		if eff >= 0 {
-			w = append(w, fpAddr(eff))
-		}
-		return footprint{writes: w}
-	}
-	effects := []Addr{-1, 0, 1, 2}
-	for ta := 0; ta < threads; ta++ {
-		for tb := 0; tb < threads; tb++ {
-			for _, ea := range effects {
-				for _, eb := range effects {
-					a := actID{drain: true, tid: ta, addr: ea}
-					b := actID{drain: true, tid: tb, addr: eb}
-					legacy := independent(a, b)
-					pa := procFor(threads, action{drain: true, id: ta})
-					pb := procFor(threads, action{drain: true, id: tb})
-					fp := !dependent(pa, drainFP(ta, ea), pb, drainFP(tb, eb))
-					if legacy != fp {
-						t.Errorf("drain(t%d→%d) vs drain(t%d→%d): legacy independent=%v, footprint independent=%v",
-							ta, ea, tb, eb, legacy, fp)
-					}
-				}
-			}
-		}
-	}
-	// Thread steps are conservatively dependent under the legacy relation;
-	// the footprint layer refines that (e.g. two Work steps commute), so
-	// only the drain/drain fragment is an equivalence. Pin the legacy side.
-	if independent(actID{tid: 0}, actID{tid: 1}) {
-		t.Fatalf("legacy relation claims thread steps commute")
-	}
-}
-
 // triProgs is SB plus a third thread whose lone store commutes with
 // everything — the structure DPOR exists to collapse — while staying
 // small enough to enumerate unreduced as a reference.
@@ -327,11 +285,31 @@ func TestDPORResumeRoundTrip(t *testing.T) {
 	t.Logf("tri: resumed DPOR executed %d runs, unreduced %d", totalRuns, wantRes.Runs)
 }
 
-// TestDPORRejectsUnsupported pins dporCheck's refusals: PSO (drains of one
-// buffer are not serialized, breaking the proc abstraction), a reorder
-// bound (not closed under commuting swaps), and thread counts past the
-// done-mask width.
+// TestDPORRejectsUnsupported pins the DPOR refusals Validate returns:
+// PSO (drains of one buffer are not serialized, breaking the proc
+// abstraction), a reorder bound (not closed under commuting swaps), and
+// thread counts past the done-mask width — and that every entry point
+// consults it.
 func TestDPORRejectsUnsupported(t *testing.T) {
+	tso2 := Config{Threads: 2, BufferSize: 2}
+	pso2 := Config{Threads: 2, BufferSize: 2, Model: ModelPSO}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		opts ExhaustiveOptions
+		want error
+	}{
+		{"ok", tso2, ExhaustiveOptions{DPOR: true}, nil},
+		{"no-dpor", pso2, ExhaustiveOptions{MaxReorderings: 2}, nil},
+		{"pso", pso2, ExhaustiveOptions{DPOR: true}, ErrDPORModel},
+		{"reorder", tso2, ExhaustiveOptions{DPOR: true, MaxReorderings: 2}, ErrDPORReorder},
+		{"threads", Config{Threads: 32, BufferSize: 1}, ExhaustiveOptions{DPOR: true}, ErrDPORThreads},
+	} {
+		if err := c.opts.Validate(c.cfg); !errors.Is(err, c.want) || (c.want == nil && err != nil) {
+			t.Errorf("%s: Validate = %v, want %v", c.name, err, c.want)
+		}
+	}
+
 	mk, out := sbProgsShared(false)
 	expectPanic := func(name string, cfg Config, opts ExhaustiveOptions) {
 		defer func() {
@@ -341,13 +319,10 @@ func TestDPORRejectsUnsupported(t *testing.T) {
 		}()
 		ExploreExhaustive(cfg, mk, out, opts)
 	}
-	expectPanic("pso", Config{Threads: 2, BufferSize: 2, Model: ModelPSO},
-		ExhaustiveOptions{DPOR: true})
-	expectPanic("reorder", Config{Threads: 2, BufferSize: 2},
-		ExhaustiveOptions{DPOR: true, MaxReorderings: 2})
-	if _, err := ShardFrontier(Config{Threads: 2, BufferSize: 2, Model: ModelPSO}, mk,
-		ExhaustiveOptions{DPOR: true, Units: 4}); err == nil {
-		t.Errorf("ShardFrontier accepted DPOR under PSO")
+	expectPanic("pso", pso2, ExhaustiveOptions{DPOR: true})
+	expectPanic("reorder", tso2, ExhaustiveOptions{DPOR: true, MaxReorderings: 2})
+	if _, err := ShardFrontier(pso2, mk, ExhaustiveOptions{DPOR: true, Units: 4}); !errors.Is(err, ErrDPORModel) {
+		t.Errorf("ShardFrontier under PSO: err = %v, want ErrDPORModel", err)
 	}
 }
 

@@ -62,11 +62,11 @@ type UnitCheckpoint struct {
 
 // Validate checks the checkpoint's structural integrity independent of
 // any machine configuration: a known memory-model string, non-negative
-// progress counters, and per-unit choice prefixes
-// whose recorded fanouts are consistent (every choice within its fanout,
-// resume paths extending their unit root). It does not check that the
-// checkpoint matches a particular Config — resume does that — only that
-// the frontier is a well-formed tree position at all.
+// progress counters, per-unit choice prefixes whose recorded fanouts are
+// consistent (every choice within its fanout, resume paths extending
+// their unit root), and done-masks only on DPOR checkpoints. It does not
+// check that the checkpoint matches a particular Config — resume does
+// that — only that the frontier is a well-formed tree position at all.
 func (cp *Checkpoint) Validate() error {
 	if cp.Threads < 1 {
 		return fmt.Errorf("tso: checkpoint needs at least 1 thread, got %d", cp.Threads)
@@ -99,6 +99,11 @@ func (cp *Checkpoint) Validate() error {
 	for i, u := range cp.Units {
 		if err := u.validate(); err != nil {
 			return fmt.Errorf("tso: checkpoint unit %d: %w", i, err)
+		}
+		if len(u.Done) > 0 && !cp.DPOR {
+			// Only DPOR frames keep done marks; resume would silently
+			// drop (or carry forward) masks nothing can interpret.
+			return fmt.Errorf("tso: checkpoint unit %d carries done-masks but the checkpoint is not DPOR", i)
 		}
 	}
 	return nil
@@ -261,14 +266,12 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 		panic(err)
 	}
 	o := opts.withDefaults()
-	if o.DPOR {
-		if err := dporCheck(c, o); err != nil {
-			panic(err)
-		}
+	if err := o.Validate(c); err != nil {
+		panic(err)
 	}
 	e := &mcEngine{cfg: c, mk: mkProgs, outcome: outcome, opts: o, bound: o.MaxReorderings}
 	if o.Prune {
-		e.memo = newMemoTable(o.MemoStripes, o.MemoLimit)
+		e.memo = newMemoTable(o.memoStripes, o.memoLimit)
 	}
 
 	set := OutcomeSet{Counts: map[string]int{}, MaxOccupancy: make([]int, c.Threads)}

@@ -24,17 +24,19 @@ package tso
 //     than it did when first explored; the cost is that only same-depth
 //     convergence dedups, which is where virtually all of it lives.
 //
-//   - Commutativity sleep sets (optional): store-buffer drains by
-//     different threads whose memory effects target different addresses
-//     commute, so of the two interleavings only one needs running. Sleep
-//     sets prune the redundant orders outright, which reduces the
-//     *multiplicity* of each outcome while provably preserving the set of
-//     reachable final states, Complete-ness, and the per-thread occupancy
-//     high-water marks (a buffer's occupancy history depends only on its
-//     own thread's order of pushes and drains, which is invariant across
-//     the pruned reorderings). Use it for verdict-style questions
-//     ("is this outcome reachable?"); leave it off when exact schedule
-//     counts matter.
+//   - Commutativity sleep sets (optional): the drain/drain fragment of
+//     dependent() (depend.go). Store-buffer drains by different threads
+//     whose memory effects target different addresses commute, so of the
+//     two interleavings only one needs running. Sleep sets prune the
+//     redundant orders outright, which reduces the *multiplicity* of each
+//     outcome while provably preserving the set of reachable final
+//     states, Complete-ness, and the per-thread occupancy high-water
+//     marks (a buffer's occupancy history depends only on its own
+//     thread's order of pushes and drains, which is invariant across the
+//     pruned reorderings). Use it for verdict-style questions ("is this
+//     outcome reachable?"); leave it off when exact schedule counts
+//     matter. DPOR keeps sleep sets over the whole of dependent(); both
+//     run through the one childSleep below.
 //
 //   - Source-set DPOR (optional, DPOR): the strongest reduction. The
 //     dependence layer (depend.go) classifies every action by read/write
@@ -53,9 +55,10 @@ package tso
 // replay-determinism contract Explore already imposes.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -74,7 +77,8 @@ type ExhaustiveOptions struct {
 	// to the sequential engine; Runs shrinks by the deduplicated subtrees.
 	Prune bool
 
-	// SleepSets additionally prunes redundant orders of commuting drains.
+	// SleepSets additionally prunes redundant orders of commuting drains:
+	// sleep sets over the drain/drain fragment of dependent() (depend.go).
 	// The set of reachable outcomes, Complete, and MaxOccupancy are
 	// preserved; per-outcome counts are reduced to one representative per
 	// commutation class. Implies Prune's bookkeeping but not its memo
@@ -91,7 +95,7 @@ type ExhaustiveOptions struct {
 	// credit would also hide the executed suffixes race detection needs.
 	// SleepSets is likewise superseded by the dependence-derived sleep
 	// sets DPOR maintains itself. Requires ModelTSO and is mutually
-	// exclusive with MaxReorderings (see dporCheck for why). Composes
+	// exclusive with MaxReorderings (see Validate for why). Composes
 	// with MaxStepsPerRun — which is what makes spin-lock duels
 	// tractable as bounded proofs — but not for free: a truncated run
 	// never exhibits its post-horizon races, so every frame such a run
@@ -104,17 +108,17 @@ type ExhaustiveOptions struct {
 	// 4×Parallel when parallel, 1 when sequential).
 	Units int
 
-	// MemoLimit bounds the memo arena (entries across all stripes); once a
+	// memoLimit bounds the memo arena (entries across all stripes); once a
 	// stripe is full, admitting a new state evicts its oldest entry —
 	// sound, because losing an entry only costs future dedup, never a
-	// count. Default 1 << 22.
-	MemoLimit int
+	// count. Default 1 << 22; set only by this package's tests.
+	memoLimit int
 
-	// MemoStripes is the number of lock stripes of the memo arena, rounded
+	// memoStripes is the number of lock stripes of the memo arena, rounded
 	// up to a power of two. Zero selects automatically: one stripe when
 	// sequential, scaled with Parallel otherwise. More stripes reduce
 	// memo-lock contention between workers at a small fixed memory cost.
-	MemoStripes int
+	memoStripes int
 
 	// MaxReorderings, when >= 1, bounds the store→load reorderings of each
 	// explored schedule: a load that reads shared memory (no forwarding
@@ -163,14 +167,14 @@ func (o ExhaustiveOptions) withDefaults() ExhaustiveOptions {
 			o.Units = 1
 		}
 	}
-	if o.MemoLimit <= 0 {
-		o.MemoLimit = 1 << 22
+	if o.memoLimit <= 0 {
+		o.memoLimit = 1 << 22
 	}
-	if o.MemoStripes <= 0 {
+	if o.memoStripes <= 0 {
 		if o.Parallel > 1 {
-			o.MemoStripes = 4 * o.Parallel
+			o.memoStripes = 4 * o.Parallel
 		} else {
-			o.MemoStripes = 1
+			o.memoStripes = 1
 		}
 	}
 	if o.MaxReorderings <= 0 {
@@ -179,8 +183,9 @@ func (o ExhaustiveOptions) withDefaults() ExhaustiveOptions {
 	if o.DPOR {
 		// See the DPOR field comment: memo credits are count-preserving,
 		// DPOR counts are per-class, and a memo cut would hide executed
-		// suffixes from race detection; the legacy sleep sets are a strict
-		// subset of the dependence-derived ones DPOR maintains itself.
+		// suffixes from race detection; SleepSets' drain/drain sleep sets
+		// are a strict subset of the ones DPOR keeps over all of
+		// dependent().
 		o.Prune = false
 		o.SleepSets = false
 	}
@@ -287,24 +292,28 @@ type mcFrame struct {
 	// their accumulators miss pre-checkpoint results, so they must never
 	// be published to the memo table.
 	noMemo bool
-	// acts/sleep/skip: commutativity bookkeeping (SleepSets mode). skip[b]
-	// marks branch b as covered by an earlier commuting exploration. DPOR
-	// mode reuses skip for its sleep-blocked branches.
-	acts  []actID
-	sleep []actID
-	skip  []bool
-
-	// DPOR bookkeeping (nil otherwise). procs/fps classify each branch's
-	// action by dependence proc and footprint; bt is the backtrack set
-	// (race handling grows it; nil on resumed frames, meaning every
-	// branch); done marks fully explored branches — unlike the plain
-	// engine's ascending scan, backtracking can revisit lower indices;
-	// dsleep is the dependence-derived sleep set arriving at this node.
+	// Sleep-set bookkeeping (SleepSets or DPOR; nil otherwise, and on
+	// resumed frames, whose action identities are gone). procs/fps
+	// classify each branch's action by dependence proc and footprint —
+	// outside DPOR only drains get a footprint, since thread steps never
+	// sleep there; dsleep is the sleep set arriving at this node; skip[b]
+	// marks branch b as covered by an earlier commuting exploration (or,
+	// under MaxReorderings, as past the bound).
 	procs  []int32
 	fps    []footprint
-	bt     []bool
-	done   []bool
 	dsleep []dsleepEntry
+	skip   []bool
+	// brEnd/addrEnd: where procs/fps and their footprint addresses end
+	// in the runner's frame stacks (mcRunner.procStack).
+	brEnd, addrEnd int
+
+	// DPOR bookkeeping (nil otherwise). bt is the backtrack set (race
+	// handling grows it; nil on resumed frames, meaning every branch);
+	// done marks fully explored branches — backtracking can schedule
+	// branches below the current one, so "everything before it" no
+	// longer describes what finished.
+	bt   []bool
+	done []bool
 	// all marks a DPOR node a step-limited run passed through. A
 	// truncated run never exhibits its post-horizon races, so the
 	// backtrack sets of the frames it crossed may be missing reversals
@@ -315,24 +324,40 @@ type mcFrame struct {
 	all bool
 }
 
-// firstAllowed returns the smallest non-skipped branch, or -1.
-func (f *mcFrame) firstAllowed() int {
-	for b := 0; b < f.fanout; b++ {
-		if f.skip == nil || !f.skip[b] {
+// next returns the branch to explore after cur (-1 before the first),
+// or -1 when none is left: not yet done, not skipped (unless all), and
+// in the backtrack set when there is one. Frames without done marks
+// scan upward from cur+1; DPOR frames rescan from zero, since race
+// handling can schedule branches below cur.
+func (f *mcFrame) next(cur int) int {
+	from := cur + 1
+	if f.done != nil {
+		from = 0
+	}
+	for b := from; b < f.fanout; b++ {
+		if f.done != nil && f.done[b] {
+			continue
+		}
+		if f.all {
+			return b
+		}
+		if f.skip != nil && f.skip[b] {
+			continue
+		}
+		if f.bt == nil || f.bt[b] {
 			return b
 		}
 	}
 	return -1
 }
 
-// nextAllowed returns the smallest non-skipped branch > cur, or -1.
-func (f *mcFrame) nextAllowed(cur int) int {
-	for b := cur + 1; b < f.fanout; b++ {
-		if f.skip == nil || !f.skip[b] {
-			return b
-		}
-	}
-	return -1
+// dsleepEntry is one member of a sleep set: the proc whose action was
+// fully explored at an ancestor and found independent of everything
+// chosen since, plus the footprint it had there (an action's footprint
+// cannot change while only independent actions run).
+type dsleepEntry struct {
+	proc int32
+	fp   footprint
 }
 
 // mcUnit is one frontier work unit: the subtree under a choice prefix,
@@ -395,9 +420,20 @@ type mcRunner struct {
 	// unless ExhaustiveOptions.DPOR.
 	dp *dporState
 
-	hw       []int   // leaf high-water-mark scratch
-	scratch  []byte  // serialization buffer for state hashing
-	sleepIDs []actID // stateKeyFor's sorted-sleep-set scratch
+	hw          []int         // leaf high-water-mark scratch
+	scratch     []byte        // serialization buffer for state hashing
+	sleepSorted []dsleepEntry // stateKeyFor's sorted-sleep-set scratch
+	fpR, fpW    []fpAddr      // footprintInto scratch for frame footprints
+
+	// procStack, fpStack and addrStack back the procs, fps and footprint
+	// addresses of the frames on the current path, in path order: a new
+	// node's share starts where its parent's ends, so descending reuses
+	// the space of finalized subtrees instead of allocating per node.
+	// Older slices stay valid when a stack grows: they keep the old
+	// backing array, which is never written again.
+	procStack []int32
+	fpStack   []footprint
+	addrStack []fpAddr
 }
 
 // newRunner builds a worker's runner: the one machine and policy it will
@@ -498,8 +534,10 @@ func reorderDelta(m *Machine, act action) int {
 // step count, allocated memory, per-thread buffer contents and
 // request/response histories, plus the arriving sleep set (two states
 // explored under different sleep sets have different residual subtrees,
-// so the sleep set is part of the identity in SleepSets mode).
-func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []actID) stateKey {
+// so the sleep set is part of the identity in SleepSets mode). Outside
+// DPOR a sleep set holds only drains, hashed as sorted (thread, drain
+// effect address) pairs.
+func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []dsleepEntry) stateKey {
 	buf := r.scratch[:0]
 	put := func(v uint64) {
 		buf = append(buf,
@@ -529,13 +567,17 @@ func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []actID) stateKe
 	if len(sleep) > 0 {
 		// Sort into the runner's scratch: this runs once per visited
 		// state, so a per-key copy would dominate the allocation profile.
-		ids := append(r.sleepIDs[:0], sleep...)
-		sort.Slice(ids, func(i, j int) bool {
-			return ids[i].tid < ids[j].tid || (ids[i].tid == ids[j].tid && ids[i].addr < ids[j].addr)
+		sorted := append(r.sleepSorted[:0], sleep...)
+		slices.SortFunc(sorted, func(a, b dsleepEntry) int {
+			if c := cmp.Compare(a.proc, b.proc); c != 0 {
+				return c
+			}
+			return cmp.Compare(drainFPEffect(a.fp), drainFPEffect(b.fp))
 		})
-		r.sleepIDs = ids
-		for _, id := range ids {
-			put(uint64(id.tid)<<32 ^ uint64(id.addr))
+		r.sleepSorted = sorted
+		for _, t := range sorted {
+			tid := int(t.proc) - len(m.bufs)
+			put(uint64(tid)<<32 ^ uint64(drainFPEffect(t.fp)))
 		}
 	}
 	if r.e.bound >= 0 {
@@ -557,33 +599,102 @@ func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []actID) stateKe
 
 // childSleep computes the sleep set arriving at the child reached from
 // the unit's deepest frame via its current branch: inherited entries
-// still independent of the chosen action, plus every earlier-explored
-// commuting sibling.
-func (u *mcUnit) childSleep() []actID {
+// still independent of the chosen action, plus every fully explored
+// sibling that commutes with it. Explored siblings are the done ones
+// under DPOR and the ones before the chosen branch otherwise.
+func (r *mcRunner) childSleep() []dsleepEntry {
+	u := r.u
 	if len(u.frames) == 0 {
 		return nil
 	}
 	p := u.frames[len(u.frames)-1]
-	if p.acts == nil {
+	if p.procs == nil {
 		return nil // resumed frame: action identities unknown
 	}
 	chosen := u.prefix[p.depth]
-	a := p.acts[chosen]
-	var sleep []actID
-	for _, t := range p.sleep {
-		if independent(t, a) {
-			sleep = append(sleep, t)
+	cp, cfp := p.procs[chosen], p.fps[chosen]
+	var out []dsleepEntry
+	for _, t := range p.dsleep {
+		if !r.sleepDependent(t.proc, t.fp, cp, cfp) {
+			out = append(out, t)
 		}
 	}
-	for j := 0; j < chosen; j++ {
-		if p.skip != nil && p.skip[j] {
+	for b := 0; b < p.fanout; b++ {
+		explored := b < chosen
+		if p.done != nil {
+			explored = b != chosen && p.done[b]
+		}
+		if !explored {
+			continue
+		}
+		if p.skip != nil && p.skip[b] {
 			continue // never explored here; covered via an ancestor
 		}
-		if independent(p.acts[j], a) {
-			sleep = append(sleep, p.acts[j])
+		if !r.sleepDependent(p.procs[b], p.fps[b], cp, cfp) {
+			out = append(out, dsleepEntry{proc: p.procs[b], fp: p.fps[b]})
 		}
 	}
-	return sleep
+	return out
+}
+
+// sleepDependent is the dependence relation sleep sets are computed
+// over: dependent() under DPOR, and its drain/drain fragment otherwise —
+// there a thread step counts as dependent on everything.
+func (r *mcRunner) sleepDependent(procA int32, a footprint, procB int32, b footprint) bool {
+	if r.dp == nil && (int(procA) < r.e.cfg.Threads || int(procB) < r.e.cfg.Threads) {
+		return true
+	}
+	return dependent(procA, a, procB, b)
+}
+
+// sleepStep fills a new frame's sleep-set bookkeeping: each branch's
+// proc and footprint (thread steps get one only under DPOR, since they
+// never sleep outside it), the arriving sleep set, and the branches it
+// covers — an entry covers a branch when proc and footprint both match,
+// which under PSO tells apart the several drains of one buffer.
+func (r *mcRunner) sleepStep(f *mcFrame, acts []action) {
+	n := len(acts)
+	br, ad := 0, 0
+	if k := len(r.u.frames); k > 0 {
+		br, ad = r.u.frames[k-1].brEnd, r.u.frames[k-1].addrEnd
+	}
+	procs, fps, addrs := r.procStack[:br], r.fpStack[:br], r.addrStack[:ad]
+	for _, a := range acts {
+		procs = append(procs, procFor(r.e.cfg.Threads, a))
+		var fp footprint
+		if a.drain || r.dp != nil {
+			fp = footprintInto(r.m, a, r.fpR, r.fpW)
+			r.fpR, r.fpW = fp.reads, fp.writes // keep grown scratch
+			lo := len(addrs)
+			addrs = append(addrs, fp.reads...)
+			mid := len(addrs)
+			addrs = append(addrs, fp.writes...)
+			fp = footprint{reads: addrs[lo:mid:mid], writes: addrs[mid:len(addrs):len(addrs)]}
+		}
+		fps = append(fps, fp)
+	}
+	r.procStack, r.fpStack, r.addrStack = procs, fps, addrs
+	f.procs, f.fps = procs[br:br+n:br+n], fps[br:br+n:br+n]
+	f.brEnd, f.addrEnd = br+n, len(addrs)
+	f.dsleep = r.childSleep()
+	if len(f.dsleep) == 0 {
+		return
+	}
+	f.skip = make([]bool, n)
+	for i := range acts {
+		for _, t := range f.dsleep {
+			if t.proc == f.procs[i] && fpEqual(t.fp, f.fps[i]) {
+				f.skip[i] = true
+				if r.dp != nil {
+					r.u.res.Prune.DPORSleepSkips++
+				} else {
+					r.u.res.Prune.SleepSkips++
+				}
+				r.u.res.Prune.SubtreesCut++
+				break
+			}
+		}
+	}
 }
 
 // machineHWInto fills dst with the per-thread occupancy high-water marks.
@@ -638,16 +749,7 @@ func (e *mcEngine) exploreUnit(r *mcRunner, u *mcUnit) {
 			u.snapshot()
 			return
 		}
-		leafDepth, cut := e.runOne(r, u)
-		if cut {
-			// Prefix already ends at the cut node; nothing was appended.
-			if !e.advance(u, rootLen) {
-				return
-			}
-			continue
-		}
-		// Leaf: bookkeeping was already truncated to the depth reached.
-		_ = leafDepth
+		e.runOne(r, u)
 		if !e.advance(u, rootLen) {
 			return
 		}
@@ -655,8 +757,11 @@ func (e *mcEngine) exploreUnit(r *mcRunner, u *mcUnit) {
 }
 
 // choose is the runner's pre-bound chooserPolicy hook: replay the unit's
-// current prefix, then descend first-allowed branches, creating frames
-// (and consulting the memo table) at every new node.
+// current prefix, then descend into new nodes. Every mode shares the one
+// new-node path: build the frame, run the sleep step (SleepSets or
+// DPOR), skip branches past the reorder bound, consult the memo table
+// (Prune), then take the first branch left — seeding the backtrack set
+// and recording the event under DPOR.
 func (r *mcRunner) choose(acts []action) int {
 	e, u, m := r.e, r.u, r.m
 	d := r.depth
@@ -676,9 +781,6 @@ func (r *mcRunner) choose(acts []action) int {
 		r.depth++
 		return u.prefix[d]
 	}
-	if r.dp != nil {
-		return r.chooseDPOR(acts)
-	}
 	if e.bound >= 0 && r.reorder > e.bound {
 		// The node itself sits past the bound. Reachable only through
 		// positions recorded without per-branch skip marking — a unit root
@@ -695,25 +797,8 @@ func (r *mcRunner) choose(acts []action) int {
 	}
 	f := &mcFrame{depth: d, fanout: n}
 	u.res.Tree.node(d, n)
-	if e.opts.SleepSets {
-		f.acts = actIDsFor(m, acts)
-		f.sleep = u.childSleep()
-		if len(f.sleep) > 0 {
-			f.skip = make([]bool, n)
-			for i, a := range f.acts {
-				if !a.drain {
-					continue
-				}
-				for _, t := range f.sleep {
-					if t == a {
-						f.skip[i] = true
-						u.res.Prune.SleepSkips++
-						u.res.Prune.SubtreesCut++
-						break
-					}
-				}
-			}
-		}
+	if e.opts.SleepSets || r.dp != nil {
+		r.sleepStep(f, acts)
 	}
 	if e.bound >= 0 && r.reorder >= e.bound {
 		// At the bound exactly: any branch whose action is one more
@@ -736,7 +821,7 @@ func (r *mcRunner) choose(acts []action) int {
 		}
 	}
 	if e.opts.Prune {
-		f.key = r.stateKeyFor(m, r.hist, f.sleep)
+		f.key = r.stateKeyFor(m, r.hist, f.dsleep)
 		f.hashed = true
 		u.res.Prune.StatesSeen++
 		if e.memo.get(f.key, &r.creditBuf) {
@@ -747,7 +832,7 @@ func (r *mcRunner) choose(acts []action) int {
 			return 0
 		}
 	}
-	b := f.firstAllowed()
+	b := f.next(-1)
 	if b < 0 {
 		// Every branch is covered by commuting explorations elsewhere:
 		// the node contributes nothing of its own.
@@ -755,6 +840,12 @@ func (r *mcRunner) choose(acts []action) int {
 		r.cut = true
 		r.pol.cancel = true
 		return 0
+	}
+	if r.dp != nil {
+		f.bt = make([]bool, n)
+		f.done = make([]bool, n)
+		f.bt[b] = true
+		r.dporRecord(acts[b], true)
 	}
 	if e.bound >= 0 {
 		r.reorder += reorderDelta(m, acts[b])
@@ -766,10 +857,11 @@ func (r *mcRunner) choose(acts []action) int {
 	return b
 }
 
-// runOne executes one schedule on the runner's reused machine. Returns
-// the leaf depth, or cut=true when the run was abandoned at a memoized
-// (or fully slept) node, which has already been credited.
-func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) (int, bool) {
+// runOne executes one schedule on the runner's reused machine and
+// accounts it in the deepest frame: a leaf, or — when the run was
+// abandoned at a memoized (or fully slept) node — that node's credit.
+// Either way the unit's prefix ends at the node the run stopped at.
+func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 	r.u = u
 	r.depth = 0
 	r.mismatch = false
@@ -812,7 +904,7 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) (int, bool) {
 			acc = &u.frames[len(u.frames)-1].acc
 		}
 		acc.foldCredit(r.credit, r.cutHW)
-		return r.depth, true
+		return
 	}
 
 	// A run can end before consuming the whole prefix only on the replay
@@ -829,7 +921,7 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) (int, bool) {
 		u.res.Runs++
 		u.res.Prune.ReorderSkips++
 		u.res.Prune.SubtreesCut++
-		return r.depth, true
+		return
 	}
 	stepLimited := false
 	var o string
@@ -862,23 +954,24 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) (int, bool) {
 	}
 	r.hw = machineHWInto(m, r.hw)
 	acc.addLeaf(o, r.hw, stepLimited)
-	return r.depth, false
 }
 
-// advance moves the unit's DFS position to the next unexplored branch at
-// or below the unit root, finalizing (and memoizing) every node it
-// retreats past. It reports false when the unit's subtree is exhausted.
+// advance marks the retreating branch done (DPOR frames), then moves the
+// unit's DFS position to the next unexplored branch at or below the unit
+// root, finalizing (and memoizing) every node it retreats past. It
+// reports false when the unit's subtree is exhausted.
 func (e *mcEngine) advance(u *mcUnit, rootLen int) bool {
-	if e.opts.DPOR {
-		return e.advanceDPOR(u, rootLen)
-	}
 	for i := len(u.prefix) - 1; i >= rootLen; i-- {
 		f := u.frames[i-rootLen]
-		if nb := f.nextAllowed(u.prefix[i]); nb >= 0 {
+		if f.done != nil {
+			f.done[u.prefix[i]] = true
+		}
+		if nb := f.next(u.prefix[i]); nb >= 0 {
 			e.finalizeFrames(u, i+1)
 			u.prefix = u.prefix[:i+1]
 			u.fanout = u.fanout[:i+1]
 			u.prefix[i] = nb
+			u.freshFrom = i
 			return true
 		}
 	}

@@ -78,7 +78,7 @@ func (s *memoStripe) lock() {
 type memoTable struct {
 	stripes []memoStripe
 	mask    uint64
-	perCap  int // per-stripe entry capacity (MemoLimit / stripes, >= 1)
+	perCap  int // per-stripe entry capacity (memoLimit / stripes, >= 1)
 }
 
 // newMemoTable sizes the arena: stripes rounded up to a power of two,

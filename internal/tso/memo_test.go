@@ -24,10 +24,10 @@ func TestMemoLimitSaturationCountsIdentical(t *testing.T) {
 		opts ExhaustiveOptions
 	}{
 		{"default-limit", ExhaustiveOptions{Prune: true}},
-		{"tiny-limit", ExhaustiveOptions{Prune: true, MemoLimit: 8}},
-		{"tiny-limit/one-stripe", ExhaustiveOptions{Prune: true, MemoLimit: 8, MemoStripes: 1}},
-		{"tiny-limit/parallel", ExhaustiveOptions{Prune: true, MemoLimit: 8, Parallel: 4, Units: 8}},
-		{"limit-one", ExhaustiveOptions{Prune: true, MemoLimit: 1, MemoStripes: 1}},
+		{"tiny-limit", ExhaustiveOptions{Prune: true, memoLimit: 8}},
+		{"tiny-limit/one-stripe", ExhaustiveOptions{Prune: true, memoLimit: 8, memoStripes: 1}},
+		{"tiny-limit/parallel", ExhaustiveOptions{Prune: true, memoLimit: 8, Parallel: 4, Units: 8}},
+		{"limit-one", ExhaustiveOptions{Prune: true, memoLimit: 1, memoStripes: 1}},
 	}
 	for _, v := range variants {
 		set, res := ExploreExhaustive(cfg, mk, out, v.opts)
@@ -51,12 +51,12 @@ func TestMemoLimitSaturationCountsIdentical(t *testing.T) {
 
 	// The tiny limit must actually saturate — otherwise the variants above
 	// never left the fast path and proved nothing.
-	_, res := ExploreExhaustive(cfg, mk, out, ExhaustiveOptions{Prune: true, MemoLimit: 8, MemoStripes: 1})
+	_, res := ExploreExhaustive(cfg, mk, out, ExhaustiveOptions{Prune: true, memoLimit: 8, memoStripes: 1})
 	if res.Memo.Evicted == 0 {
-		t.Errorf("MemoLimit=8 never evicted (memo %+v): litmus too small for the saturation test", res.Memo)
+		t.Errorf("memoLimit=8 never evicted (memo %+v): litmus too small for the saturation test", res.Memo)
 	}
 	if res.Memo.Entries > 8 {
-		t.Errorf("MemoLimit=8 but %d entries resident", res.Memo.Entries)
+		t.Errorf("memoLimit=8 but %d entries resident", res.Memo.Entries)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestMemoStripesEquivalence(t *testing.T) {
 
 	for _, stripes := range []int{1, 3, 8, 64} {
 		set, res := ExploreExhaustive(cfg, mk, out, ExhaustiveOptions{
-			Prune: true, MemoStripes: stripes, Parallel: 4, Units: 8,
+			Prune: true, memoStripes: stripes, Parallel: 4, Units: 8,
 		})
 		if !res.Complete {
 			t.Fatalf("stripes=%d: incomplete", stripes)

@@ -30,10 +30,8 @@ func ShardFrontier(cfg Config, mkProgs func(m *Machine) []func(Context), opts Ex
 		return nil, err
 	}
 	o := opts.withDefaults()
-	if o.DPOR {
-		if err := dporCheck(c, o); err != nil {
-			return nil, err
-		}
+	if err := o.Validate(c); err != nil {
+		return nil, err
 	}
 	e := &mcEngine{cfg: c, mk: mkProgs, opts: o, bound: o.MaxReorderings}
 	units := e.split()
