@@ -3,9 +3,14 @@ package tso
 import "testing"
 
 // BenchmarkHandoff measures the raw cost of one simulated operation: the
-// round trip from a program goroutine through the scheduler and back. This
-// is the floor under every simulated load/store/CAS in the repo, so a
-// regression here taxes every figure and every exhaustive proof.
+// scheduling turn a program goroutine takes for it, plus a goroutine
+// switch whenever the policy picks another thread. This is the floor
+// under every simulated load/store/CAS in the repo, so a regression here
+// taxes every figure and every exhaustive proof. The single-thread cases
+// measure the path with no switch (the thread always continues);
+// timed/pingpong measures the cross-thread switch, because the timed
+// policy's min-clock rule strictly alternates two threads doing
+// equal-cost loads.
 func BenchmarkHandoff(b *testing.B) {
 	b.Run("chaos/load", func(b *testing.B) {
 		m := NewMachine(Config{Threads: 1, BufferSize: 4, Seed: 1})
@@ -43,6 +48,21 @@ func BenchmarkHandoff(b *testing.B) {
 			}
 		})
 		if err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("timed/pingpong", func(b *testing.B) {
+		m := NewTimedMachine(Config{Threads: 2, BufferSize: 33})
+		x := m.Alloc(1)
+		loads := func(n int) func(Context) {
+			return func(c Context) {
+				for i := 0; i < n; i++ {
+					c.Load(x)
+				}
+			}
+		}
+		b.ResetTimer()
+		if err := m.Run(loads((b.N+1)/2), loads(b.N/2)); err != nil {
 			b.Fatal(err)
 		}
 	})

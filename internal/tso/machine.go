@@ -23,14 +23,16 @@ import (
 // Exactly one simulated thread executes at a time; between any two thread
 // actions a policy may drain store-buffer entries.
 //
-// The request/grant rendezvous is channel-free on its steady-state path:
-// each simulated thread is a pooled worker goroutine (spawned at the first
+// Each simulated thread is a pooled worker goroutine (spawned at the first
 // Run, reused across Runs) whose single in-flight request is embedded in
-// the worker itself, and the two directions of the handoff are parked
-// single-slot gates (an atomic state word backed by a 1-slot semaphore —
-// see gate). A simulated operation therefore performs zero heap
-// allocations and no shared-channel traffic; the only per-operation cost
-// is the two goroutine switches the one-thread-at-a-time semantics demand.
+// the worker itself. The scheduler is not a goroutine of its own but a
+// baton (see turn): the thread that posts a request runs the scheduling
+// loop itself, so when the policy picks that same thread again the
+// operation completes with no goroutine switch at all, and otherwise the
+// poster wakes the chosen thread's parked single-slot gate (an atomic
+// state word backed by a 1-slot semaphore — see gate) and parks on its
+// own: one switch. A simulated operation therefore performs zero heap
+// allocations and no channel traffic.
 //
 // A Machine is not safe for concurrent use; each Run call owns it until it
 // returns. Memory contents persist across Run calls, so a harness can
@@ -58,18 +60,37 @@ type Machine struct {
 	pol policy
 
 	// workers are the pooled per-thread goroutines; nil until the first
-	// Run (or after Close). reqGate is the scheduler's side of the
-	// handoff: workers post requests by flagging themselves and releasing
-	// it. reaper carries the GC finalizer that reclaims the workers of a
+	// Run (or after Close). reqGate is Run's side of the start-up and
+	// teardown gathers: workers post requests by flagging themselves and
+	// releasing it. runGate hands the baton back to Run when the run ends.
+	// reaper carries the GC finalizer that reclaims the workers of a
 	// machine dropped without Close (see spawnWorkers).
 	workers []*worker
 	reaper  *reaper
 	reqGate gate
+	runGate gate
 
-	// pending[tid] points at tid's posted-but-ungranted request (embedded
-	// in its worker); the slice is allocated once and reused across Runs.
-	pending []*request
-	steps   int64
+	// The scheduler state below belongs to whichever goroutine holds the
+	// baton. pending[tid] points at tid's posted-but-ungranted request
+	// (embedded in its worker); the slice is allocated once and reused
+	// across Runs. live counts the threads whose programs have not
+	// returned, pendingN those of them with a pending request.
+	pending  []*request
+	pendingN int
+	live     int
+	steps    int64
+
+	// gathering is set while requests travel by post/gather instead of
+	// the baton: from the start of Run until every thread has posted its
+	// first request, and again from the end of the run through teardown.
+	gathering bool
+
+	// fail is the run's error once it has ended (the first ProgramPanic,
+	// the step limit, or errRunCut). enginePanic is a panic raised by the
+	// scheduler itself (a policy, a buffer invariant) on whichever
+	// goroutine held the baton; Run re-raises it after teardown.
+	fail        error
+	enginePanic any
 
 	// opSeq numbers every executed request on the buffered substrate since
 	// the last Reset. The id is assigned whether or not a tracer is
@@ -132,10 +153,12 @@ type response struct {
 // 1-slot semaphore channel that is touched only when a park actually
 // happens. release banks a signal or unparks the parked consumer; acquire
 // consumes a banked signal without blocking, or parks until one arrives.
-// Multiple producers may release concurrently; at most one goroutine may
-// acquire. The atomic read-modify-writes give the same happens-before
-// edges a channel would, so plain writes made before release are visible
-// after the matching acquire.
+// At most one goroutine may acquire. Multiple producers may release
+// concurrently, which happens only on reqGate during a Run's start-up and
+// teardown gathers; in steady state each release comes from the one
+// goroutine holding the baton. The atomic read-modify-writes give the
+// same happens-before edges a channel would, so plain writes made before
+// release are visible after the matching acquire.
 type gate struct {
 	state atomic.Int32
 	sem   chan struct{}
@@ -167,14 +190,13 @@ type worker struct {
 	tid   int
 	req   request
 	resp  response
-	grant gate        // scheduler → thread: response ready
+	grant gate        // baton holder → thread: response ready (or abort)
 	start chan func() // Run → goroutine: next program bound and ready
 	run   func()      // pre-bound runProg, sent on start each Run
 	prog  func(Context)
 
-	// posted tells the scheduler's gather scan that req holds a fresh
-	// request; the store-release/CAS-acquire pair carries the request
-	// fields across.
+	// posted tells Run's gather scan that req holds a fresh request; the
+	// store-release/CAS-acquire pair carries the request fields across.
 	posted atomic.Bool
 }
 
@@ -212,6 +234,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 	m.pending = make([]*request, c.Threads)
 	m.reqGate.init()
+	m.runGate.init()
 	m.pol = &chaosPolicy{}
 	if c.Metrics {
 		m.enableMetrics()
@@ -364,7 +387,9 @@ func workerLoop(start chan func()) {
 // Run executes one simulated program per configured thread to completion,
 // then flushes all store buffers. Under a bounded policy (chaos, chooser)
 // it returns ErrStepLimit if the schedule exceeds Config.MaxSteps
-// (livelock/deadlock); a program panic surfaces as *ProgramPanic.
+// (livelock/deadlock); a program panic surfaces as *ProgramPanic. A panic
+// raised by the engine itself propagates out of Run with its original
+// value, after every thread has been unwound.
 func (m *Machine) Run(progs ...func(Context)) error {
 	if len(progs) != m.cfg.Threads {
 		return fmt.Errorf("tso: machine has %d threads, Run got %d programs", m.cfg.Threads, len(progs))
@@ -375,43 +400,66 @@ func (m *Machine) Run(progs ...func(Context)) error {
 	for i := range m.pending {
 		m.pending[i] = nil
 	}
+	m.pendingN = 0
+	m.live = len(progs)
 	m.steps = 0
+	m.gathering = true
+	m.fail = nil
 	m.pol.reset(m)
 	for i, p := range progs {
 		w := m.workers[i]
 		w.prog = p
 		w.start <- w.run
 	}
-	err := m.schedule(len(progs))
+	err := m.schedule()
 	m.pol.flush(m)
 	m.stats.Steps += m.steps
 	return err
 }
 
-// runProg is one worker cycle: run the bound program, then post the
-// terminal opDone/opPanic through the embedded request. It reuses the
-// request in place, so the wrapper path allocates nothing either.
+// runProg is one worker cycle: run the bound program, then retire the
+// thread. In steady state the retiring thread takes one more turn and
+// passes the baton on; during the start-up and teardown gathers it posts
+// the terminal opDone/opPanic through the embedded request instead,
+// reusing the request in place, so the wrapper path allocates nothing
+// either.
 func (w *worker) runProg() {
 	defer func() {
+		v := recover()
+		if _, ok := v.(abortSignal); ok {
+			v = nil
+		}
+		m := w.m
+		if !m.gathering {
+			m.retire(w.tid, v)
+			m.pass(m.turn())
+			return
+		}
 		w.req.addr = 0
 		w.req.val = 0
 		w.req.val2 = 0
-		w.req.panicVal = nil
-		switch v := recover(); v.(type) {
-		case nil, abortSignal:
-			w.req.kind = opDone
-		default:
+		w.req.kind = opDone
+		w.req.panicVal = v
+		if v != nil {
 			w.req.kind = opPanic
-			w.req.panicVal = v
 		}
-		w.m.post(w)
+		m.post(w)
 	}()
 	w.prog(w)
 }
 
-// post publishes w's embedded request to the scheduler: flag the worker,
-// then release the scheduler's gate. The flag store happens-before the
-// gather scan's consuming CAS, which carries the request fields across.
+// retire removes a thread whose program returned (v == nil) or panicked
+// with v from the scheduler's live set.
+func (m *Machine) retire(tid int, v any) {
+	m.live--
+	if v != nil && m.fail == nil {
+		m.fail = &ProgramPanic{Thread: tid, Value: v}
+	}
+}
+
+// post publishes w's embedded request to Run's gather: flag the worker,
+// then release Run's gate. The flag store happens-before the gather
+// scan's consuming CAS, which carries the request fields across.
 func (m *Machine) post(w *worker) {
 	w.posted.Store(true)
 	m.reqGate.release()
@@ -419,9 +467,9 @@ func (m *Machine) post(w *worker) {
 
 // gather blocks until some worker has posted a request and returns it,
 // consuming exactly one post. Which posted worker is returned first when
-// several race (Run start, teardown) is scheduling-dependent, but the
-// schedule loop collects until every live thread has a pending request
-// before consulting the policy, so the machine's behaviour — and the
+// several race (Run start, teardown) is scheduling-dependent, but Run
+// collects until every live thread has a pending request before the
+// first turn consults the policy, so the machine's behaviour — and the
 // chaos engine's same-seed determinism — do not depend on gather order.
 func (m *Machine) gather() *worker {
 	m.reqGate.acquire()
@@ -444,44 +492,68 @@ func (m *Machine) grant(tid int, resp response) {
 	w.grant.release()
 }
 
-// schedule is the machine's main loop. Invariant: a live thread is either
-// "computing" (its goroutine is running between Context calls) or has a
-// pending request. At most one thread computes at a time, so the loop first
-// gathers requests until every live thread has one, then asks the policy
-// for an action.
-func (m *Machine) schedule(threads int) error {
-	live := threads
-	pendingN := 0
-	var fail error
+// schedule drives one Run from Run's goroutine. It gathers requests until
+// every live thread has one, leaves gathering mode and takes the first
+// turn itself, then parks until the baton comes back through runGate at
+// the end of the run. Teardown unwinds the threads by post/gather again.
+func (m *Machine) schedule() error {
+	for m.pendingN < m.live {
+		w := m.gather()
+		switch w.req.kind {
+		case opDone, opPanic:
+			m.retire(w.tid, w.req.panicVal)
+		default:
+			m.pending[w.tid] = &w.req
+			m.pendingN++
+		}
+	}
+	m.gathering = false
+	if tid := m.turn(); tid >= 0 {
+		m.pass(tid)
+		m.runGate.acquire()
+	}
+	m.abortPending()
+	m.drainDone()
+	if v := m.enginePanic; v != nil {
+		m.enginePanic = nil
+		panic(v)
+	}
+	return m.fail
+}
 
+// turn is the machine's scheduling loop, run by whichever goroutine holds
+// the baton: Run after the start-up gather, then the worker whose thread
+// has just posted a request or retired. Invariant: every live thread but
+// the holder's is parked with a pending request, and the holder has just
+// posted or retired, so on entry every live thread has a pending request
+// and the policy sees exactly the choice it would from a dedicated
+// scheduler goroutine. turn takes policy steps (drains run inline) until
+// one thread's request has been executed and returns that thread, its
+// response stored in its worker; the caller passes the baton to it. Once
+// the run has ended (every thread retired, a program panic, the step
+// limit, a policy cut, or an engine panic) it leaves m.fail or
+// m.enginePanic set, re-enters gathering mode and returns -1; the caller
+// passes the baton back to Run.
+func (m *Machine) turn() (tid int) {
+	defer func() {
+		// A panic here comes from the engine (policy code, a buffer
+		// invariant), not from the thread whose goroutine holds the
+		// baton: recover it before that thread's runProg can wrap it in
+		// a ProgramPanic, and let Run re-raise it after teardown.
+		if v := recover(); v != nil {
+			m.enginePanic = v
+			m.gathering = true
+			tid = -1
+		}
+	}()
 	for {
-		for pendingN < live {
-			w := m.gather()
-			switch w.req.kind {
-			case opDone:
-				live--
-			case opPanic:
-				live--
-				if fail == nil {
-					fail = &ProgramPanic{Thread: w.tid, Value: w.req.panicVal}
-				}
-			default:
-				m.pending[w.tid] = &w.req
-				pendingN++
-			}
-		}
-		if fail != nil {
-			m.abortPending(&pendingN)
-			m.drainDone(&live)
-			return fail
-		}
-		if live == 0 {
-			return nil
+		if m.fail != nil || m.live == 0 {
+			m.gathering = true
+			return -1
 		}
 		if m.pol.bounded() && m.steps >= m.cfg.MaxSteps {
-			m.abortPending(&pendingN)
-			m.drainDone(&live)
-			return fmt.Errorf("%w after %d steps", ErrStepLimit, m.steps)
+			m.fail = fmt.Errorf("%w after %d steps", ErrStepLimit, m.steps)
+			continue
 		}
 		m.steps++
 
@@ -490,20 +562,32 @@ func (m *Machine) schedule(threads int) error {
 			// The policy abandoned the run mid-schedule (the exhaustive
 			// engine's memoization cut). Unwind every thread and report the
 			// sentinel so the engine can tell a cut from a real failure.
-			m.abortPending(&pendingN)
-			m.drainDone(&live)
-			return errRunCut
+			m.fail = errRunCut
+			continue
 		}
 		if act.drain {
 			m.drainStep(act)
 			continue
 		}
-		tid := act.id
+		tid = act.id
 		r := m.pending[tid]
+		// The request stays pending until it has executed, so a panic in
+		// exec leaves its thread where teardown can abort it.
+		m.workers[tid].resp = m.pol.exec(m, r)
 		m.pending[tid] = nil
-		pendingN--
-		m.grant(tid, m.pol.exec(m, r))
+		m.pendingN--
+		return tid
 	}
+}
+
+// pass hands the baton on after a turn: to the worker of thread tid, whose
+// response turn has stored, or back to Run once the run has ended (-1).
+func (m *Machine) pass(tid int) {
+	if tid < 0 {
+		m.runGate.release()
+		return
+	}
+	m.workers[tid].grant.release()
 }
 
 // drainStep performs a policy-chosen drain action on the buffered
@@ -618,11 +702,11 @@ func (m *Machine) flushBuffered() {
 }
 
 // abortPending tells every thread blocked on a grant to unwind.
-func (m *Machine) abortPending(pendingN *int) {
+func (m *Machine) abortPending() {
 	for tid, r := range m.pending {
 		if r != nil {
 			m.pending[tid] = nil
-			*pendingN--
+			m.pendingN--
 			m.grant(tid, response{abort: true})
 		}
 	}
@@ -630,12 +714,12 @@ func (m *Machine) abortPending(pendingN *int) {
 
 // drainDone consumes the opDone notifications of unwinding threads so no
 // worker is left mid-cycle when Run returns.
-func (m *Machine) drainDone(live *int) {
-	for *live > 0 {
+func (m *Machine) drainDone() {
+	for m.live > 0 {
 		w := m.gather()
 		switch w.req.kind {
 		case opDone, opPanic:
-			*live--
+			m.live--
 		default:
 			// A thread that was computing issued one more request before
 			// observing the abort; bounce it.
@@ -649,9 +733,24 @@ func (m *Machine) drainDone(live *int) {
 // request and response in the worker makes every operation below
 // allocation-free.
 
+// do submits the thread's embedded request and returns its response.
+// During Run's start-up and teardown gathers it posts to Run; otherwise
+// the thread takes a turn itself, which returns without a goroutine
+// switch when the policy executes this same request, and else passes the
+// baton on and parks until its own request is granted.
 func (w *worker) do() response {
-	w.m.post(w)
-	w.grant.acquire()
+	m := w.m
+	if m.gathering {
+		m.post(w)
+		w.grant.acquire()
+	} else {
+		m.pending[w.tid] = &w.req
+		m.pendingN++
+		if tid := m.turn(); tid != w.tid {
+			m.pass(tid)
+			w.grant.acquire()
+		}
+	}
 	if w.resp.abort {
 		panic(abortSignal{})
 	}

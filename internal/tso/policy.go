@@ -3,7 +3,9 @@ package tso
 // policy is the pluggable scheduling/cost engine behind the unified
 // machine core. The core owns the request/grant plumbing, the memory and
 // store-buffer substrate and the stats sink; the policy decides what
-// happens at each scheduler step and what it costs.
+// happens at each scheduler step and what it costs. Its methods run on
+// whichever goroutine holds the scheduling baton (see Machine.turn), one
+// call at a time; a panic in one propagates out of Run unchanged.
 type policy interface {
 	// reset prepares per-Run policy state; called at the start of Run.
 	reset(m *Machine)

@@ -58,6 +58,7 @@ func NewTimedMachine(cfg Config) *TimedMachine {
 	}
 	m.pending = make([]*request, c.Threads)
 	m.reqGate.init()
+	m.runGate.init()
 	m.pol = tp
 	if c.Metrics {
 		m.enableMetrics()
@@ -81,8 +82,9 @@ func (m *TimedMachine) Reset() {
 // ThreadCycles returns the finishing clock of thread tid after the last
 // Run. During a run it reads tid's live clock, which is safe from tid's
 // own program code: the machine computes one simulated thread at a time,
-// and the gate handoff orders the engine's clock writes before the
-// thread resumes (sched.Worker.Now relies on this).
+// and the engine's clock writes happen either on tid's own goroutine
+// (when its turn executes its own request) or before the gate release
+// that resumes it (sched.Worker.Now relies on this).
 func (m *TimedMachine) ThreadCycles(tid int) uint64 { return m.tp.clocks[tid] }
 
 // reset zeroes the virtual clocks and drain-pipeline state. Thread clocks
