@@ -42,8 +42,8 @@ func main() {
 
 	studies := []study{
 		{
-			title: "Ablation 1: client stores between takes (x) with the matching sound delta = ceil(S/(x+1))",
-			prose: []string{"More client stores shrink delta, letting thieves steal from shallower queues (§4)."},
+			title:   "Ablation 1: client stores between takes (x) with the matching sound delta = ceil(S/(x+1))",
+			prose:   []string{"More client stores shrink delta, letting thieves steal from shallower queues (§4)."},
 			compute: func() ([]expt.AblationRow, error) { return expt.AblationClientStores(p) },
 		},
 		{

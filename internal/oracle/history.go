@@ -24,7 +24,6 @@ package oracle
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -91,17 +90,13 @@ func (e Event) String() string {
 	}
 }
 
-// History accumulates the deque events of one run. The machine executes
-// at most one simulated thread at a time once scheduling begins, but
-// Machine.Run launches every worker goroutine up front and they compute
-// concurrently until each issues its first Context call — so the run's
-// very first Begin events can genuinely race. The mutex serializes those
-// appends; event *order* within that window is scheduling-dependent,
-// which is harmless because every Spec verdict is order-insensitive (see
-// the package comment). A History must still not be shared between
-// concurrently executing runs.
+// History accumulates the deque events of one run. It needs no lock: the
+// machine runs one simulated thread at a time, start-up and teardown
+// included, and starts the threads in tid order. The events recorded
+// before the first operation therefore arrive in a fixed order too, and
+// replaying a schedule records the same events in the same order. A
+// History must not be shared between concurrently executing runs.
 type History struct {
-	mu      sync.Mutex
 	events  []Event
 	prefill []uint64
 	drained bool
@@ -131,9 +126,7 @@ func (h *History) Begin(thread int, kind OpKind, task uint64) {
 	if kind != OpPut {
 		task = 0
 	}
-	h.mu.Lock()
 	h.events = append(h.events, Event{Seq: len(h.events), Thread: thread, Kind: kind, Begin: true, Task: task})
-	h.mu.Unlock()
 }
 
 // End records the completion of an operation. For takes and steals, task
@@ -142,9 +135,7 @@ func (h *History) End(thread int, kind OpKind, task uint64, st core.Status) {
 	if kind != OpPut && st != core.OK {
 		task = 0
 	}
-	h.mu.Lock()
 	h.events = append(h.events, Event{Seq: len(h.events), Thread: thread, Kind: kind, Task: task, Status: st})
-	h.mu.Unlock()
 }
 
 // Events returns the recorded events in schedule order. The slice is the

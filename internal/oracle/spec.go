@@ -189,7 +189,7 @@ func (s Multiplicity) Check(h *History) []Violation {
 				Detail: fmt.Sprintf("removed %dx but never put", r)})
 		case r > s.budget(p):
 			viols = append(viols, Violation{Verdict: VerdictDupBound, Task: task, Thread: -1,
-				Bound: s.budget(p),
+				Bound:  s.budget(p),
 				Detail: fmt.Sprintf("removed %dx for %d put(s), budget %d", r, p, s.budget(p))})
 		}
 	}

@@ -232,3 +232,91 @@ func TestChooserPanicTearsDown(t *testing.T) {
 	m.Close()
 	waitForGoroutines(t, baseline+2, 5*time.Second)
 }
+
+// TestHostCodeOneThreadAtATime pins that the baton is the machine's only
+// transport, start-up and teardown included: the host code a thread runs
+// before its first operation, and the deferred host code it runs while a
+// teardown unwinds it, never overlap another thread's. Each half
+// increments a plain shared counter, so the race detector reports any
+// overlap, and the totals check that every thread started and unwound
+// exactly once. Chaos and chooser runs end at the step limit; the timed
+// policy is unbounded, so its runs end in a program panic instead.
+func TestHostCodeOneThreadAtATime(t *testing.T) {
+	const boomVal = "boom"
+	chooser := func(cfg Config) *Machine {
+		m := NewMachine(cfg)
+		p := &chooserPolicy{}
+		calls := 0
+		p.choose = func(acts []action) int {
+			calls++
+			return calls % len(acts)
+		}
+		m.pol = p
+		return m
+	}
+	chaos := func(cfg Config) *Machine { return NewMachine(cfg) }
+	timed := func(cfg Config) *Machine { return &NewTimedMachine(cfg).Machine }
+	for _, n := range []int{2, 4} {
+		for _, tc := range []struct {
+			name  string
+			mk    func(Config) *Machine
+			panic bool
+		}{
+			{"chaos", chaos, false},
+			{"chooser", chooser, false},
+			{"timed", timed, true},
+		} {
+			t.Run(fmt.Sprintf("%s/threads=%d", tc.name, n), func(t *testing.T) {
+				m := tc.mk(Config{Threads: n, BufferSize: 2, Seed: 3, DrainBias: 0.3, MaxSteps: 40})
+				defer m.Close()
+				x := m.Alloc(1)
+				var started, unwound int
+				progs := make([]func(Context), n)
+				for i := range progs {
+					progs[i] = func(c Context) {
+						started++
+						defer func() { unwound++ }()
+						for j := 0; ; j++ {
+							if tc.panic && i == 0 && j == 10 {
+								panic(boomVal)
+							}
+							c.Store(x, uint64(j))
+							c.Load(x)
+						}
+					}
+				}
+				err := m.Run(progs...)
+				if tc.panic {
+					var pp *ProgramPanic
+					if !errors.As(err, &pp) || pp.Thread != 0 || pp.Value != boomVal {
+						t.Fatalf("Run = %v, want ProgramPanic{Thread: 0, Value: boom}", err)
+					}
+				} else if !errors.Is(err, ErrStepLimit) {
+					t.Fatalf("Run = %v, want ErrStepLimit", err)
+				}
+				if started != n || unwound != n {
+					t.Fatalf("%d threads started and %d unwound, want %d each", started, unwound, n)
+				}
+			})
+		}
+	}
+}
+
+// TestPanicAttributionDeterministic pins Run's attribution rule: threads
+// start one at a time in tid order, so when every thread panics before
+// its first operation the error always names thread 0.
+func TestPanicAttributionDeterministic(t *testing.T) {
+	const threads = 4
+	m := NewMachine(Config{Threads: threads, BufferSize: 2})
+	defer m.Close()
+	progs := make([]func(Context), threads)
+	for i := range progs {
+		progs[i] = func(Context) { panic(i) }
+	}
+	for r := 0; r < 2000; r++ {
+		var pp *ProgramPanic
+		if err := m.Run(progs...); !errors.As(err, &pp) || pp.Thread != 0 || pp.Value != 0 {
+			t.Fatalf("run %d: Run = %v, want ProgramPanic{Thread: 0, Value: 0}", r, err)
+		}
+	}
+}

@@ -20,19 +20,25 @@ import (
 //   - the timed policy (NewTimedMachine) runs a min-virtual-clock
 //     discrete-event simulation with pipelined drains (§7.1 cost model).
 //
-// Exactly one simulated thread executes at a time; between any two thread
-// actions a policy may drain store-buffer entries.
+// Exactly one simulated thread executes at a time, from the first
+// instruction of a Run to the last unwind of its teardown; between any
+// two thread actions a policy may drain store-buffer entries.
 //
 // Each simulated thread is a pooled worker goroutine (spawned at the first
 // Run, reused across Runs) whose single in-flight request is embedded in
 // the worker itself. The scheduler is not a goroutine of its own but a
-// baton (see turn): the thread that posts a request runs the scheduling
-// loop itself, so when the policy picks that same thread again the
-// operation completes with no goroutine switch at all, and otherwise the
+// baton (see turn), and the baton is the machine's only transport: Run
+// takes the first turn, which starts thread 0; each thread runs its host
+// code until it posts its first request or retires and then starts the
+// next; once all have started, the thread that posts a request runs the
+// scheduling loop itself. When the policy picks that same thread again
+// the operation completes with no goroutine switch at all; otherwise the
 // poster wakes the chosen thread's parked single-slot gate (an atomic
 // state word backed by a 1-slot semaphore — see gate) and parks on its
-// own: one switch. A simulated operation therefore performs zero heap
-// allocations and no channel traffic.
+// own: one switch. When the run ends, the threads still pending are
+// aborted one at a time, each unwinding and retiring before the next,
+// and the last hands the baton back to Run. A simulated operation
+// therefore performs zero heap allocations and no channel traffic.
 //
 // A Machine is not safe for concurrent use; each Run call owns it until it
 // returns. Memory contents persist across Run calls, so a harness can
@@ -60,30 +66,26 @@ type Machine struct {
 	pol policy
 
 	// workers are the pooled per-thread goroutines; nil until the first
-	// Run (or after Close). reqGate is Run's side of the start-up and
-	// teardown gathers: workers post requests by flagging themselves and
-	// releasing it. runGate hands the baton back to Run when the run ends.
-	// reaper carries the GC finalizer that reclaims the workers of a
-	// machine dropped without Close (see spawnWorkers).
+	// Run (or after Close). runGate hands the baton back to Run when the
+	// run's teardown is over. reaper carries the GC finalizer that
+	// reclaims the workers of a machine dropped without Close (see
+	// spawnWorkers).
 	workers []*worker
 	reaper  *reaper
-	reqGate gate
 	runGate gate
 
 	// The scheduler state below belongs to whichever goroutine holds the
 	// baton. pending[tid] points at tid's posted-but-ungranted request
 	// (embedded in its worker); the slice is allocated once and reused
-	// across Runs. live counts the threads whose programs have not
-	// returned, pendingN those of them with a pending request.
+	// across Runs, and every Run leaves it empty. started counts the
+	// threads whose programs this Run has started (they start in tid
+	// order), live those whose programs have not returned, pendingN those
+	// of them with a pending request.
 	pending  []*request
 	pendingN int
+	started  int
 	live     int
 	steps    int64
-
-	// gathering is set while requests travel by post/gather instead of
-	// the baton: from the start of Run until every thread has posted its
-	// first request, and again from the end of the run through teardown.
-	gathering bool
 
 	// fail is the run's error once it has ended (the first ProgramPanic,
 	// the step limit, or errRunCut). enginePanic is a panic raised by the
@@ -129,17 +131,14 @@ const (
 	opFence
 	opCAS
 	opWork
-	opDone
-	opPanic
 )
 
 type request struct {
-	tid      int
-	kind     opKind
-	addr     Addr
-	val      uint64 // store value / CAS old / Work cycles
-	val2     uint64 // CAS new
-	panicVal any
+	tid  int
+	kind opKind
+	addr Addr
+	val  uint64 // store value / CAS old / Work cycles
+	val2 uint64 // CAS new
 }
 
 type response struct {
@@ -153,12 +152,12 @@ type response struct {
 // 1-slot semaphore channel that is touched only when a park actually
 // happens. release banks a signal or unparks the parked consumer; acquire
 // consumes a banked signal without blocking, or parks until one arrives.
-// At most one goroutine may acquire. Multiple producers may release
-// concurrently, which happens only on reqGate during a Run's start-up and
-// teardown gathers; in steady state each release comes from the one
-// goroutine holding the baton. The atomic read-modify-writes give the
-// same happens-before edges a channel would, so plain writes made before
-// release are visible after the matching acquire.
+// At most one goroutine may acquire, and the machine has one releasing
+// goroutine at a time: every release comes from whichever goroutine holds
+// the baton, as its last act before parking or retiring. The atomic
+// read-modify-writes give the same happens-before edges a channel would,
+// so plain writes made before release are visible after the matching
+// acquire.
 type gate struct {
 	state atomic.Int32
 	sem   chan struct{}
@@ -191,13 +190,9 @@ type worker struct {
 	req   request
 	resp  response
 	grant gate        // baton holder → thread: response ready (or abort)
-	start chan func() // Run → goroutine: next program bound and ready
+	start chan func() // baton holder → goroutine: start the bound program
 	run   func()      // pre-bound runProg, sent on start each Run
 	prog  func(Context)
-
-	// posted tells Run's gather scan that req holds a fresh request; the
-	// store-release/CAS-acquire pair carries the request fields across.
-	posted atomic.Bool
 }
 
 // abortSignal is panicked inside simulated threads when the machine tears a
@@ -223,23 +218,32 @@ func NewMachine(cfg Config) *Machine {
 	if err != nil {
 		panic(err)
 	}
-	m := &Machine{
-		cfg: c,
-		mem: newMemory(c.MemWords),
-		rng: rand.New(rand.NewSource(c.Seed)),
-	}
+	// Simulated memory is allocated before the Machine itself. Harnesses
+	// that build one machine per run (Figure 8's litmus sweep) allocate
+	// that memory at a high rate, and with the Machine allocated first the
+	// sweep measured ~20% slower on a 2-CPU host, its GC mark phases
+	// lengthened.
+	m := &Machine{mem: newMemory(c.MemWords), rng: rand.New(rand.NewSource(c.Seed))}
+	m.init(c, c.BufferSize, c.DrainBuffer, &chaosPolicy{})
+	return m
+}
+
+// init builds the state every engine shares around m's memory for the
+// defaulted config c: one store buffer per thread of capacity bufCap
+// (with the coalescing drain stage iff stage), the scheduler's pending
+// slice and gate, the metrics sink, and the policy pol.
+func (m *Machine) init(c Config, bufCap int, stage bool, pol policy) {
+	m.cfg = c
 	m.bufs = make([]*storeBuffer, c.Threads)
 	for i := range m.bufs {
-		m.bufs[i] = newStoreBuffer(c.BufferSize, c.DrainBuffer)
+		m.bufs[i] = newStoreBuffer(bufCap, stage)
 	}
 	m.pending = make([]*request, c.Threads)
-	m.reqGate.init()
 	m.runGate.init()
-	m.pol = &chaosPolicy{}
+	m.pol = pol
 	if c.Metrics {
 		m.enableMetrics()
 	}
-	return m
 }
 
 // Config returns the configuration the machine was built with (after
@@ -367,8 +371,8 @@ func (m *Machine) spawnWorkers() {
 		w := &worker{m: m, tid: i}
 		w.req.tid = i
 		w.grant.init()
-		// Capacity 1 is load-bearing: Run may send the next program before
-		// the worker has looped back from posting its previous opDone.
+		// Capacity 1 is load-bearing: the next Run may start the worker
+		// before it has looped back from its previous retirement's turn.
 		w.start = make(chan func(), 1)
 		w.run = w.runProg
 		m.workers[i] = w
@@ -387,7 +391,9 @@ func workerLoop(start chan func()) {
 // Run executes one simulated program per configured thread to completion,
 // then flushes all store buffers. Under a bounded policy (chaos, chooser)
 // it returns ErrStepLimit if the schedule exceeds Config.MaxSteps
-// (livelock/deadlock); a program panic surfaces as *ProgramPanic. A panic
+// (livelock/deadlock); a program panic surfaces as *ProgramPanic. Threads
+// start one at a time in tid order, so when several would panic before
+// the first scheduling step, the lowest-tid one is reported. A panic
 // raised by the engine itself propagates out of Run with its original
 // value, after every thread has been unwound.
 func (m *Machine) Run(progs ...func(Context)) error {
@@ -397,32 +403,27 @@ func (m *Machine) Run(progs ...func(Context)) error {
 	if m.workers == nil {
 		m.spawnWorkers()
 	}
-	for i := range m.pending {
-		m.pending[i] = nil
+	for i, p := range progs {
+		m.workers[i].prog = p
 	}
-	m.pendingN = 0
+	m.started = 0
 	m.live = len(progs)
 	m.steps = 0
-	m.gathering = true
 	m.fail = nil
 	m.pol.reset(m)
-	for i, p := range progs {
-		w := m.workers[i]
-		w.prog = p
-		w.start <- w.run
+	m.pass(m.turn())
+	m.runGate.acquire()
+	if v := m.enginePanic; v != nil {
+		m.enginePanic = nil
+		panic(v)
 	}
-	err := m.schedule()
 	m.pol.flush(m)
 	m.stats.Steps += m.steps
-	return err
+	return m.fail
 }
 
 // runProg is one worker cycle: run the bound program, then retire the
-// thread. In steady state the retiring thread takes one more turn and
-// passes the baton on; during the start-up and teardown gathers it posts
-// the terminal opDone/opPanic through the embedded request instead,
-// reusing the request in place, so the wrapper path allocates nothing
-// either.
+// thread and take one more turn to pass the baton on.
 func (w *worker) runProg() {
 	defer func() {
 		v := recover()
@@ -430,130 +431,52 @@ func (w *worker) runProg() {
 			v = nil
 		}
 		m := w.m
-		if !m.gathering {
-			m.retire(w.tid, v)
-			m.pass(m.turn())
-			return
+		m.live--
+		if v != nil && m.fail == nil {
+			m.fail = &ProgramPanic{Thread: w.tid, Value: v}
 		}
-		w.req.addr = 0
-		w.req.val = 0
-		w.req.val2 = 0
-		w.req.kind = opDone
-		w.req.panicVal = v
-		if v != nil {
-			w.req.kind = opPanic
-		}
-		m.post(w)
+		m.pass(m.turn())
 	}()
 	w.prog(w)
 }
 
-// retire removes a thread whose program returned (v == nil) or panicked
-// with v from the scheduler's live set.
-func (m *Machine) retire(tid int, v any) {
-	m.live--
-	if v != nil && m.fail == nil {
-		m.fail = &ProgramPanic{Thread: tid, Value: v}
-	}
-}
-
-// post publishes w's embedded request to Run's gather: flag the worker,
-// then release Run's gate. The flag store happens-before the gather
-// scan's consuming CAS, which carries the request fields across.
-func (m *Machine) post(w *worker) {
-	w.posted.Store(true)
-	m.reqGate.release()
-}
-
-// gather blocks until some worker has posted a request and returns it,
-// consuming exactly one post. Which posted worker is returned first when
-// several race (Run start, teardown) is scheduling-dependent, but Run
-// collects until every live thread has a pending request before the
-// first turn consults the policy, so the machine's behaviour — and the
-// chaos engine's same-seed determinism — do not depend on gather order.
-func (m *Machine) gather() *worker {
-	m.reqGate.acquire()
-	for {
-		for _, w := range m.workers {
-			if w.posted.Load() && w.posted.CompareAndSwap(true, false) {
-				return w
-			}
-		}
-		// The release that satisfied acquire is always preceded by its
-		// flag store, so the scan cannot miss forever; this retry only
-		// spins if we consumed a flag whose release is still in flight.
-	}
-}
-
-// grant hands tid's response back and unparks its worker.
-func (m *Machine) grant(tid int, resp response) {
-	w := m.workers[tid]
-	w.resp = resp
-	w.grant.release()
-}
-
-// schedule drives one Run from Run's goroutine. It gathers requests until
-// every live thread has one, leaves gathering mode and takes the first
-// turn itself, then parks until the baton comes back through runGate at
-// the end of the run. Teardown unwinds the threads by post/gather again.
-func (m *Machine) schedule() error {
-	for m.pendingN < m.live {
-		w := m.gather()
-		switch w.req.kind {
-		case opDone, opPanic:
-			m.retire(w.tid, w.req.panicVal)
-		default:
-			m.pending[w.tid] = &w.req
-			m.pendingN++
-		}
-	}
-	m.gathering = false
-	if tid := m.turn(); tid >= 0 {
-		m.pass(tid)
-		m.runGate.acquire()
-	}
-	m.abortPending()
-	m.drainDone()
-	if v := m.enginePanic; v != nil {
-		m.enginePanic = nil
-		panic(v)
-	}
-	return m.fail
-}
-
 // turn is the machine's scheduling loop, run by whichever goroutine holds
-// the baton: Run after the start-up gather, then the worker whose thread
-// has just posted a request or retired. Invariant: every live thread but
-// the holder's is parked with a pending request, and the holder has just
-// posted or retired, so on entry every live thread has a pending request
-// and the policy sees exactly the choice it would from a dedicated
-// scheduler goroutine. turn takes policy steps (drains run inline) until
-// one thread's request has been executed and returns that thread, its
-// response stored in its worker; the caller passes the baton to it. Once
-// the run has ended (every thread retired, a program panic, the step
-// limit, a policy cut, or an engine panic) it leaves m.fail or
-// m.enginePanic set, re-enters gathering mode and returns -1; the caller
-// passes the baton back to Run.
+// the baton: Run for the first turn, then the worker whose thread has
+// just posted a request or retired. While some thread has not started,
+// it returns the next one in tid order, so threads start one at a time
+// and no policy step runs before every thread has posted its first
+// request or retired. Invariant from then on: every live thread but the
+// holder's is parked with a pending request, and the holder has just
+// posted or retired, so every live thread has a pending request and the
+// policy sees exactly the choice it would from a dedicated scheduler
+// goroutine. turn takes policy steps (drains run inline) until one
+// thread's request has been executed and returns that thread, its
+// response stored in its worker; the caller passes the baton to it.
+//
+// Once the run has ended (every thread retired, a program panic, the step
+// limit, a policy cut, or an engine panic, leaving m.fail or
+// m.enginePanic set) each turn aborts the lowest-tid pending thread and
+// returns it; that thread unwinds, retires and takes the next turn. When
+// nothing is pending turn returns -1, and the caller passes the baton
+// back to Run.
 func (m *Machine) turn() (tid int) {
 	defer func() {
 		// A panic here comes from the engine (policy code, a buffer
 		// invariant), not from the thread whose goroutine holds the
 		// baton: recover it before that thread's runProg can wrap it in
-		// a ProgramPanic, and let Run re-raise it after teardown.
+		// a ProgramPanic, and tear the run down for Run to re-raise it.
 		if v := recover(); v != nil {
 			m.enginePanic = v
-			m.gathering = true
-			tid = -1
+			tid = m.abortNext()
 		}
 	}()
-	for {
-		if m.fail != nil || m.live == 0 {
-			m.gathering = true
-			return -1
-		}
+	if m.started < len(m.workers) {
+		return m.started
+	}
+	for m.fail == nil && m.enginePanic == nil && m.live > 0 {
 		if m.pol.bounded() && m.steps >= m.cfg.MaxSteps {
 			m.fail = fmt.Errorf("%w after %d steps", ErrStepLimit, m.steps)
-			continue
+			break
 		}
 		m.steps++
 
@@ -563,7 +486,7 @@ func (m *Machine) turn() (tid int) {
 			// engine's memoization cut). Unwind every thread and report the
 			// sentinel so the engine can tell a cut from a real failure.
 			m.fail = errRunCut
-			continue
+			break
 		}
 		if act.drain {
 			m.drainStep(act)
@@ -578,16 +501,38 @@ func (m *Machine) turn() (tid int) {
 		m.pendingN--
 		return tid
 	}
+	return m.abortNext()
 }
 
-// pass hands the baton on after a turn: to the worker of thread tid, whose
-// response turn has stored, or back to Run once the run has ended (-1).
-func (m *Machine) pass(tid int) {
-	if tid < 0 {
-		m.runGate.release()
-		return
+// abortNext is one teardown step: it takes the lowest-tid pending thread
+// off the pending set with an abort response and returns it, or returns
+// -1 once nothing is pending.
+func (m *Machine) abortNext() int {
+	for tid, r := range m.pending {
+		if r != nil {
+			m.pending[tid] = nil
+			m.pendingN--
+			m.workers[tid].resp = response{abort: true}
+			return tid
+		}
 	}
-	m.workers[tid].grant.release()
+	return -1
+}
+
+// pass hands the baton on after a turn: to thread tid, by starting its
+// program if it is the next unstarted thread and otherwise by releasing
+// its grant, or back to Run once teardown is over (-1).
+func (m *Machine) pass(tid int) {
+	switch {
+	case tid < 0:
+		m.runGate.release()
+	case tid == m.started:
+		m.started++
+		w := m.workers[tid]
+		w.start <- w.run
+	default:
+		m.workers[tid].grant.release()
+	}
 }
 
 // drainStep performs a policy-chosen drain action on the buffered
@@ -701,55 +646,23 @@ func (m *Machine) flushBuffered() {
 	}
 }
 
-// abortPending tells every thread blocked on a grant to unwind.
-func (m *Machine) abortPending() {
-	for tid, r := range m.pending {
-		if r != nil {
-			m.pending[tid] = nil
-			m.pendingN--
-			m.grant(tid, response{abort: true})
-		}
-	}
-}
-
-// drainDone consumes the opDone notifications of unwinding threads so no
-// worker is left mid-cycle when Run returns.
-func (m *Machine) drainDone() {
-	for m.live > 0 {
-		w := m.gather()
-		switch w.req.kind {
-		case opDone, opPanic:
-			m.live--
-		default:
-			// A thread that was computing issued one more request before
-			// observing the abort; bounce it.
-			m.grant(w.tid, response{abort: true})
-		}
-	}
-}
-
 // The worker doubles as the Context implementation handed to its simulated
 // thread; the installed policy interprets the requests. Embedding the
 // request and response in the worker makes every operation below
 // allocation-free.
 
-// do submits the thread's embedded request and returns its response.
-// During Run's start-up and teardown gathers it posts to Run; otherwise
-// the thread takes a turn itself, which returns without a goroutine
-// switch when the policy executes this same request, and else passes the
-// baton on and parks until its own request is granted.
+// do submits the thread's embedded request and returns its response. The
+// thread posts the request and takes a turn itself, which returns without
+// a goroutine switch when the policy executes this same request (or
+// aborts this same thread), and else passes the baton on and parks until
+// its own request is granted.
 func (w *worker) do() response {
 	m := w.m
-	if m.gathering {
-		m.post(w)
+	m.pending[w.tid] = &w.req
+	m.pendingN++
+	if tid := m.turn(); tid != w.tid {
+		m.pass(tid)
 		w.grant.acquire()
-	} else {
-		m.pending[w.tid] = &w.req
-		m.pendingN++
-		if tid := m.turn(); tid != w.tid {
-			m.pass(tid)
-			w.grant.acquire()
-		}
 	}
 	if w.resp.abort {
 		panic(abortSignal{})

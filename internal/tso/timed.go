@@ -47,22 +47,11 @@ func NewTimedMachine(cfg Config) *TimedMachine {
 		tp.cores = make([]uint64, c.Threads/2)
 	}
 	m := &TimedMachine{tp: tp}
-	m.cfg = c
 	m.mem = newMemory(c.MemWords)
-	m.bufs = make([]*storeBuffer, c.Threads)
-	for i := range m.bufs {
-		// The timed engine has no coalescing drain stage; the §7.3 stage
-		// entry instead shows up as one extra slot of FIFO capacity, which
-		// is exactly the observable S+1 bound.
-		m.bufs[i] = newStoreBuffer(c.ObservableBound(), false)
-	}
-	m.pending = make([]*request, c.Threads)
-	m.reqGate.init()
-	m.runGate.init()
-	m.pol = tp
-	if c.Metrics {
-		m.enableMetrics()
-	}
+	// The timed engine has no coalescing drain stage; the §7.3 stage
+	// entry instead shows up as one extra slot of FIFO capacity, which is
+	// exactly the observable S+1 bound.
+	m.init(c, c.ObservableBound(), false, tp)
 	return m
 }
 
