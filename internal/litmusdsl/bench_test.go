@@ -9,7 +9,7 @@ import (
 // BenchmarkExplore measures exhaustive exploration of the litmus library
 // under the engine's scalability knobs: the sequential reference engine,
 // the parallel frontier, canonical-state pruning, and both combined.
-// Regenerate results/explore_bench.txt with:
+// Run it with:
 //
 //	go test ./internal/litmusdsl/ -run - -bench BenchmarkExplore -benchtime 2x
 //

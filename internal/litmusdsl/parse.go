@@ -14,7 +14,7 @@
 //	expect: allowed
 //
 // Run verifies the `expect` verdict by exhaustive schedule exploration
-// (tso.Explore), so "forbidden" means proved unreachable over every
+// (tso.ExploreExhaustive), so "forbidden" means proved unreachable over every
 // interleaving and drain schedule, not merely unobserved.
 //
 // Grammar notes: identifiers matching r<digits> are per-process registers;

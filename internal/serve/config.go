@@ -3,7 +3,7 @@
 // them by sharding each job's schedule frontier across a bounded worker
 // pool, and folds the shard deltas with the engine's deterministic merge
 // — so a job's outcome counts are byte-identical to a direct in-process
-// tso.Explore/oracle.Run of the same program. Progress is checkpointed
+// tso.ExploreExhaustive/oracle.Run of the same program. Progress is checkpointed
 // periodically to a spool directory in the frontier wire format
 // (tso.Checkpoint), so a killed or drained server resumes its jobs on
 // restart and still lands on the same final counts.

@@ -55,11 +55,12 @@ type Server struct {
 type job struct {
 	id    string
 	spec  JobSpec
-	prog  oracle.Program
 	check oracle.Spec
-	cfg   tso.Config
-	mk    func(*tso.Machine) []func(tso.Context)
-	out   func(*tso.Machine) string
+	// sc builds the job's program. The plan and every slice derive their
+	// own Scenario.Outcomes pair: a pair's history map keeps every
+	// machine it saw, so a pair held by the job would keep them all for
+	// the job's lifetime.
+	sc oracle.Scenario
 
 	state       JobState
 	errMsg      string
@@ -117,7 +118,6 @@ func (s *Server) newJob(id string, spec JobSpec) (*job, error) {
 		return nil, err
 	}
 	sc := prog.Scenario()
-	mk, out := sc.Outcomes(check)
 	budget := spec.MaxSchedules
 	if budget == 0 || budget > s.cfg.MaxJobRuns {
 		budget = s.cfg.MaxJobRuns
@@ -125,11 +125,8 @@ func (s *Server) newJob(id string, spec JobSpec) (*job, error) {
 	return &job{
 		id:          id,
 		spec:        spec,
-		prog:        prog,
 		check:       check,
-		cfg:         sc.Config,
-		mk:          mk,
-		out:         out,
+		sc:          sc,
 		state:       StateQueued,
 		fold:        tso.NewFold(sc.Config.Threads),
 		outstanding: map[int]*tso.Checkpoint{},
@@ -257,7 +254,7 @@ func (s *Server) recordLocked(j *job) *Record {
 		for _, id := range ids {
 			units = append(units, j.outstanding[id].Units[0])
 		}
-		cp, err := j.fold.Checkpoint(j.cfg, units)
+		cp, err := j.fold.Checkpoint(j.sc.Config, units)
 		if err == nil {
 			rec.Checkpoint = cp
 		}
@@ -293,15 +290,15 @@ func (s *Server) plan(ctx context.Context, id string) error {
 		s.mu.Unlock()
 		return nil
 	}
-	mk := j.mk
-	cfg := j.cfg
+	sc, check := j.sc, j.check
 	s.mu.Unlock()
 	if ctx.Err() != nil {
 		return nil
 	}
 	s.metrics.slices.Add(1)
 
-	cp, err := tso.ShardFrontier(cfg, mk, tso.ExhaustiveOptions{
+	mk, _ := sc.Outcomes(check)
+	cp, err := tso.ShardFrontier(sc.Config, mk, tso.ExhaustiveOptions{
 		ExploreOptions: tso.ExploreOptions{MaxStepsPerRun: s.cfg.MaxStepsPerRun},
 		Units:          s.cfg.ShardUnits,
 		MaxReorderings: j.spec.MaxReorderings,
@@ -370,7 +367,7 @@ func (s *Server) explore(ctx context.Context, id string, uid int) error {
 		return nil
 	}
 	j.budget -= take
-	mk, out, cfg := j.mk, j.out, j.cfg
+	sc, check := j.sc, j.check
 	prune := !j.spec.NoPrune && !j.spec.DPOR
 	reorder := j.spec.MaxReorderings
 	dpor := j.spec.DPOR
@@ -383,7 +380,8 @@ func (s *Server) explore(ctx context.Context, id string, uid int) error {
 	}
 	s.metrics.slices.Add(1)
 
-	set, res := tso.ExploreExhaustive(cfg, mk, out, tso.ExhaustiveOptions{
+	mk, out := sc.Outcomes(check)
+	set, res := tso.ExploreExhaustive(sc.Config, mk, out, tso.ExhaustiveOptions{
 		ExploreOptions: tso.ExploreOptions{MaxRuns: take, MaxStepsPerRun: s.cfg.MaxStepsPerRun},
 		Prune:          prune,
 		MaxReorderings: reorder,
@@ -549,12 +547,12 @@ func (s *Server) witness(ctx context.Context, id string) error {
 		s.mu.Unlock()
 		return nil
 	}
-	prog, check, budget := j.prog, j.check, j.budgetTotal
+	sc, check, budget := j.sc, j.check, j.budgetTotal
 	s.mu.Unlock()
 	if ctx.Err() != nil {
 		return nil
 	}
-	ce := oracle.FindCounterexample(prog.Scenario(), check, oracle.RunOptions{
+	ce := oracle.FindCounterexample(sc, check, oracle.RunOptions{
 		MaxSchedules:   budget,
 		MaxStepsPerRun: s.cfg.MaxStepsPerRun,
 	})
@@ -658,7 +656,7 @@ func (s *Server) resume() error {
 			s.enqueuePlanLocked(j)
 			continue
 		}
-		if err := rec.Checkpoint.CompatibleWithOptions(j.cfg, tso.ExhaustiveOptions{
+		if err := rec.Checkpoint.CompatibleWithOptions(j.sc.Config, tso.ExhaustiveOptions{
 			MaxReorderings: j.spec.MaxReorderings,
 			DPOR:           j.spec.DPOR,
 		}); err != nil {

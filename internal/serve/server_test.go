@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,50 @@ func TestJobLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %s", resp.Status)
+	}
+}
+
+// TestConcurrentJobsReleaseMachines submits a batch of small jobs at once
+// and requires every one to finish with the direct exploration's counts.
+// Finished jobs stay in the job table, so the live heap they leave
+// behind must be their results, not the machines their slices ran on: a
+// job that held one Scenario.Outcomes pair for its lifetime kept every
+// machine the pair's history map saw.
+func TestConcurrentJobsReleaseMachines(t *testing.T) {
+	const jobs = 10
+	const maxGrowth = 32 << 20
+	want := directReport(t, smallSpec())
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+
+	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: jobs, SliceRuns: 64})
+	defer s.Drain()
+	defer ts.Close()
+	ids := make([]string, 0, jobs)
+	for i := 0; i < jobs; i++ {
+		ids = append(ids, postJob(t, ts, smallSpec()).ID)
+	}
+	for _, id := range ids {
+		st := waitDone(t, func() JobStatus { return getStatus(t, ts, id) }, 120*time.Second)
+		if st.State != StateDone || st.Result == nil || !st.Result.Complete {
+			t.Fatalf("job %s did not complete: %+v", id, st)
+		}
+		if !reflect.DeepEqual(st.Result.Outcomes, want.Outcomes) || st.Result.Schedules != want.Schedules {
+			t.Fatalf("job %s outcomes %v (%d schedules), want %v (%d)",
+				id, st.Result.Outcomes, st.Result.Schedules, want.Outcomes, want.Schedules)
+		}
+	}
+
+	growth := int64(liveHeap()) - int64(before)
+	t.Logf("live heap grew %.1f MiB over %d finished jobs", float64(growth)/(1<<20), jobs)
+	if growth > maxGrowth {
+		t.Fatalf("live heap growth %.1f MiB exceeds the %d MiB bound", float64(growth)/(1<<20), maxGrowth>>20)
 	}
 }
 

@@ -223,8 +223,9 @@ func (b *storeBuffer) drainAt(mem *memory, i int) {
 }
 
 // memory is the simulated shared memory: a growable array of 64-bit words,
-// all initially zero. It tracks the dirty high-watermark so reset zeroes
-// only the words a run actually touched, not the full default arena.
+// all initially zero, grown by Alloc and writes (ensure). It tracks the
+// dirty high-watermark so reset zeroes only the words a run actually
+// touched. It always holds at least one word, which reset relies on.
 type memory struct {
 	words []uint64
 	hi    Addr // highest address ever written since the last reset

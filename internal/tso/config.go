@@ -52,10 +52,6 @@ type Config struct {
 	// failure mode of Figure 8b.
 	DrainBuffer bool
 
-	// MemWords is the initial size of simulated memory in 64-bit words.
-	// Alloc grows memory on demand, so this is only a pre-sizing hint.
-	MemWords int
-
 	// Seed seeds the chaos engine's scheduler RNG. Runs with equal seeds
 	// and equal programs produce identical schedules.
 	Seed int64
@@ -136,7 +132,6 @@ var DefaultCost = CostModel{
 }
 
 const (
-	defaultMemWords = 1 << 16
 	defaultMaxSteps = 50_000_000
 	defaultDrain    = 0.5
 )
@@ -166,9 +161,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SMT && c.Threads%2 != 0 {
 		return c, fmt.Errorf("tso: SMT needs an even thread count, got %d", c.Threads)
-	}
-	if c.MemWords <= 0 {
-		c.MemWords = defaultMemWords
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = defaultMaxSteps

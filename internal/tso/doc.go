@@ -25,8 +25,10 @@
 //     It regenerates the shape of the paper's timing results (Figures 1, 7,
 //     10, 11) without claiming absolute cycle counts.
 //
-// A third policy — deterministic choice enumeration — backs Explore's
-// exhaustive schedule exploration over the chaos substrate.
+// A third policy — deterministic choice enumeration — backs exhaustive
+// schedule exploration over the chaos substrate: ExploreWithChoices, the
+// sequential reference engine, and ExploreExhaustive, the parallel,
+// pruned, resumable one.
 //
 // Both engines expose the same Context interface to simulated-thread code,
 // so every queue algorithm in internal/core runs unchanged on either, and

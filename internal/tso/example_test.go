@@ -31,10 +31,10 @@ func ExampleMachine() {
 	// r0=0 r1=0
 }
 
-// ExampleExplore proves a property instead of sampling it: across every
+// ExampleExploreOutcomes proves a property instead of sampling it: across every
 // schedule of the message-passing idiom, TSO's FIFO store buffer never
 // lets the reader see the flag without the data.
-func ExampleExplore() {
+func ExampleExploreOutcomes() {
 	var x, y, flagA, dataA tso.Addr
 	mk := func(m *tso.Machine) []func(tso.Context) {
 		x, y = m.Alloc(1), m.Alloc(1)

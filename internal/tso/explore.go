@@ -147,37 +147,22 @@ type ExploreResult struct {
 	Checkpoint *Checkpoint
 }
 
-// Explore enumerates schedules of the program built by mkProgs on fresh
-// machines configured by cfg. For every completed run it calls visit with
-// the machine (buffers flushed; inspect memory with Peek) and the run's
-// error, which is nil, step-limit, or a program panic.
+// ExploreWithChoices is the sequential reference engine: it enumerates
+// schedules of the program built by mkProgs, depth first on one machine
+// Reset between runs. For every completed run it calls visit with the
+// machine (buffers flushed; inspect memory with Peek), the run's error
+// (nil, step-limit, or a program panic), and the run's schedule:
+// choices[i] is the branch taken at decision step i (an index into the
+// step's action list — threads with pending requests in thread order,
+// then drainable buffers in thread order). Exploration stops early when
+// visit returns true (Complete stays false in that case), which extracts
+// a witness without enumerating the rest of the tree. The choices slice
+// is reused across runs and only valid for the duration of the call;
+// callers that keep a schedule (a witness, a counterexample for
+// ReplaySchedule) must copy it.
 //
-// mkProgs is called once per run with the fresh machine; it must Alloc
+// mkProgs is called once per run with the Reset machine; it must Alloc
 // whatever it needs and return one program per configured thread.
-func Explore(cfg Config, mkProgs func(m *Machine) []func(Context), opts ExploreOptions, visit func(m *Machine, err error)) ExploreResult {
-	return ExploreUntil(cfg, mkProgs, opts, func(m *Machine, err error) bool {
-		visit(m, err)
-		return false
-	})
-}
-
-// ExploreUntil is Explore with early termination: exploration stops when
-// visit returns true (Complete stays false in that case). Used to extract
-// a witness schedule for a reachable outcome without enumerating the rest
-// of the tree.
-func ExploreUntil(cfg Config, mkProgs func(m *Machine) []func(Context), opts ExploreOptions, visit func(m *Machine, err error) bool) ExploreResult {
-	return ExploreWithChoices(cfg, mkProgs, opts, func(m *Machine, err error, _ []int) bool {
-		return visit(m, err)
-	})
-}
-
-// ExploreWithChoices is ExploreUntil additionally handing visit the run's
-// schedule: choices[i] is the branch taken at decision step i (an index
-// into the step's action list — threads with pending requests in thread
-// order, then drainable buffers in thread order). The slice is reused
-// across runs and only valid for the duration of the call; callers that
-// keep a schedule (a witness, a counterexample for ReplaySchedule) must
-// copy it.
 func ExploreWithChoices(cfg Config, mkProgs func(m *Machine) []func(Context), opts ExploreOptions, visit func(m *Machine, err error, choices []int) bool) ExploreResult {
 	opts = opts.withDefaults()
 	var res ExploreResult
@@ -304,15 +289,14 @@ type OutcomeSet struct {
 	// over every explored schedule — the observed reordering-bound
 	// witness (≤ Config.ObservableBound by construction).
 	MaxOccupancy []int
-	res          ExploreResult
 }
 
-// ExploreOutcomes runs Explore and buckets each run by the string outcome
-// returns. It panics on program panics, since a litmus program must not
-// fail.
+// ExploreOutcomes runs ExploreWithChoices and buckets each run by the
+// string outcome returns. It panics on program panics, since a litmus
+// program must not fail.
 func ExploreOutcomes(cfg Config, mkProgs func(m *Machine) []func(Context), outcome func(m *Machine) string, opts ExploreOptions) (OutcomeSet, ExploreResult) {
 	set := OutcomeSet{Counts: map[string]int{}, MaxOccupancy: make([]int, cfg.Threads)}
-	res := Explore(cfg, mkProgs, opts, func(m *Machine, err error) {
+	res := ExploreWithChoices(cfg, mkProgs, opts, func(m *Machine, err error, _ []int) bool {
 		for tid := range set.MaxOccupancy {
 			if occ := m.ThreadMaxOccupancy(tid); occ > set.MaxOccupancy[tid] {
 				set.MaxOccupancy[tid] = occ
@@ -323,11 +307,11 @@ func ExploreOutcomes(cfg Config, mkProgs func(m *Machine) []func(Context), outco
 		}
 		if err != nil {
 			set.Counts["<step-limit>"]++
-			return
+		} else {
+			set.Counts[outcome(m)]++
 		}
-		set.Counts[outcome(m)]++
+		return false
 	})
-	set.res = res
 	return set, res
 }
 
@@ -377,6 +361,5 @@ func SampleOutcomes(cfg Config, runs int, mkProgs func(m *Machine) []func(Contex
 			}
 		}
 	}
-	set.res = ExploreResult{Runs: runs}
 	return set
 }

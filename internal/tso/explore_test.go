@@ -273,8 +273,8 @@ func TestExploreStepLimitedRunsCounted(t *testing.T) {
 			},
 		}
 	}
-	res := Explore(Config{Threads: 1, BufferSize: 1}, mk, ExploreOptions{MaxRuns: 3, MaxStepsPerRun: 200},
-		func(m *Machine, err error) {})
+	res := ExploreWithChoices(Config{Threads: 1, BufferSize: 1}, mk, ExploreOptions{MaxRuns: 3, MaxStepsPerRun: 200},
+		func(*Machine, error, []int) bool { return false })
 	if res.StepLimited == 0 {
 		t.Fatal("blocked program not counted as step-limited")
 	}

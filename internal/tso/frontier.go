@@ -1,10 +1,12 @@
 package tso
 
-// This file is the frontier layer of the exhaustive engine: it partitions
-// the decision tree into choice-prefix work units, drives them across a
-// worker pool, merges their results deterministically, and captures the
-// unexplored remainder as a resumable Checkpoint, whose one wire format is
-// BinaryCodec (codec.go).
+// This file is the frontier layer of the exhaustive engine. Every
+// exploration resumes a Checkpoint: the caller's, or the zero-progress one
+// that partitions the decision tree into choice-prefix work units
+// (frontier). ExploreExhaustive drives the checkpoint's units across a
+// worker pool and merges their results through one Fold (shard.go), which
+// also captures the unexplored remainder as the resumable Checkpoint whose
+// one wire format is BinaryCodec (codec.go).
 
 import (
 	"errors"
@@ -199,11 +201,7 @@ var (
 // validateOptions rejects resuming under options the frontier was not
 // explored with. o must be defaulted.
 func (cp *Checkpoint) validateOptions(o ExhaustiveOptions) error {
-	want := 0
-	if o.MaxReorderings > 0 {
-		want = o.MaxReorderings
-	}
-	if cp.Reorder != want {
+	if want := max(o.MaxReorderings, 0); cp.Reorder != want {
 		name := func(k int) string {
 			if k == 0 {
 				return "unbounded"
@@ -257,6 +255,11 @@ func (cp *Checkpoint) validate(c Config) error {
 // ExploreOutcomes it panics on a program failure, and buckets step-limited
 // schedules under "<step-limit>".
 //
+// Every exploration resumes a checkpoint: opts.Resume when set, otherwise
+// the zero-progress frontier ShardFrontier would return. Its progress and
+// every unit's result merge through one Fold, which also writes the
+// budget checkpoint.
+//
 // With Parallel > 1, mkProgs and outcome run concurrently on distinct
 // machines and must not write shared captured state. Frontier-splitting
 // probe runs are not charged against MaxRuns.
@@ -274,44 +277,31 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 		e.memo = newMemoTable(o.memoStripes, o.memoLimit)
 	}
 
-	set := OutcomeSet{Counts: map[string]int{}, MaxOccupancy: make([]int, c.Threads)}
-	var agg ExploreResult
-	var units []*mcUnit
-	if o.Resume != nil {
-		if err := o.Resume.validate(c); err != nil {
-			panic(err)
+	start := o.Resume
+	if start == nil {
+		start = e.frontier()
+	} else if err := start.validate(c); err != nil {
+		panic(err)
+	} else if err := start.validateOptions(o); err != nil {
+		panic(err)
+	}
+	fold := NewFold(c.Threads)
+	fold.AddBase(start)
+	// The result checkpoint carries this call's label, even when the
+	// resumed one was unlabeled.
+	fold.acc.Label = o.Label
+	units := make([]*mcUnit, len(start.Units))
+	for i, uc := range start.Units {
+		u := &mcUnit{
+			root:    append([]int(nil), uc.Root...),
+			rootFan: append([]int(nil), uc.RootFanout...),
 		}
-		if err := o.Resume.validateOptions(o); err != nil {
-			panic(err)
+		if len(uc.Prefix) > 0 {
+			u.prefix = append([]int(nil), uc.Prefix...)
+			u.fanout = append([]int(nil), uc.Fanout...)
+			u.doneMask = append([]uint64(nil), uc.Done...)
 		}
-		for k, v := range o.Resume.Counts {
-			set.Counts[k] += v
-		}
-		for i, v := range o.Resume.MaxOccupancy {
-			if i < len(set.MaxOccupancy) && v > set.MaxOccupancy[i] {
-				set.MaxOccupancy[i] = v
-			}
-		}
-		agg.Runs = o.Resume.Runs
-		agg.StepLimited = o.Resume.StepLimited
-		agg.Tree = o.Resume.Tree
-		agg.Prune = o.Resume.Prune
-		for _, uc := range o.Resume.Units {
-			u := &mcUnit{
-				root:    append([]int(nil), uc.Root...),
-				rootFan: append([]int(nil), uc.RootFanout...),
-			}
-			if len(uc.Prefix) > 0 {
-				u.prefix = append([]int(nil), uc.Prefix...)
-				u.fanout = append([]int(nil), uc.Fanout...)
-				u.resumed = true
-				u.doneMask = append([]uint64(nil), uc.Done...)
-			}
-			units = append(units, u)
-		}
-	} else {
-		units = e.split()
-		agg.Tree.merge(e.splitTree)
+		units[i] = u
 	}
 
 	if o.Interrupt != nil {
@@ -376,77 +366,24 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 		panic(panicVal)
 	}
 
-	complete := true
+	var open []UnitCheckpoint
 	for _, u := range units {
-		for k, v := range u.acc.counts {
-			set.Counts[k] += v
-		}
-		for i, v := range u.acc.maxOcc {
-			if v > set.MaxOccupancy[i] {
-				set.MaxOccupancy[i] = v
-			}
-		}
-		agg.Runs += u.res.Runs
-		agg.StepLimited += u.res.StepLimited
-		agg.Tree.merge(u.res.Tree)
-		agg.Prune.merge(u.res.Prune)
+		fold.Add(OutcomeSet{Counts: u.acc.counts, MaxOccupancy: u.acc.maxOcc}, u.res)
 		if !u.complete {
-			complete = false
+			open = append(open, UnitCheckpoint{
+				Root: u.root, RootFanout: u.rootFan,
+				Prefix: u.prefix, Fanout: u.fanout, Done: u.doneMask,
+			})
 		}
 	}
-	agg.Complete = complete
+	set, res := fold.Result(len(open) == 0)
 	if e.memo != nil {
-		agg.Memo = e.memo.stats()
+		res.Memo = e.memo.stats()
 	}
-	if !complete {
-		agg.Checkpoint = buildCheckpoint(c, o, units, set, agg)
+	if len(open) > 0 {
+		res.Checkpoint, _ = fold.Checkpoint(c, open)
 	}
-	set.res = agg
-	return set, agg
-}
-
-func buildCheckpoint(c Config, o ExhaustiveOptions, units []*mcUnit, set OutcomeSet, agg ExploreResult) *Checkpoint {
-	reorder := 0
-	if o.MaxReorderings > 0 {
-		reorder = o.MaxReorderings
-	}
-	cp := &Checkpoint{
-		Threads:      c.Threads,
-		BufferSize:   c.BufferSize,
-		Model:        c.Model.String(),
-		DrainBuffer:  c.DrainBuffer,
-		Label:        o.Label,
-		Reorder:      reorder,
-		DPOR:         o.DPOR,
-		Runs:         agg.Runs,
-		StepLimited:  agg.StepLimited,
-		Counts:       map[string]int{},
-		MaxOccupancy: append([]int(nil), set.MaxOccupancy...),
-		Tree:         agg.Tree,
-		Prune:        agg.Prune,
-	}
-	for k, v := range set.Counts {
-		cp.Counts[k] = v
-	}
-	for _, u := range units {
-		if u.complete {
-			continue
-		}
-		uc := UnitCheckpoint{Root: u.root, RootFanout: u.rootFan}
-		if u.started {
-			uc.Prefix = u.prefix
-			uc.Fanout = u.fanout
-			uc.Done = u.doneMask
-		} else if u.resumed {
-			// Never picked up in this slice: its resumed position (and
-			// DPOR masks) carry over unchanged.
-			uc.Prefix = u.prefix
-			uc.Fanout = u.fanout
-			uc.Done = u.doneMask
-		}
-		cp.Units = append(cp.Units, uc)
-	}
-	return cp
+	return set, res
 }
 
 // probeFanout executes one throwaway schedule on m (Reset here) replaying
@@ -482,19 +419,34 @@ func (e *mcEngine) probeFanout(m *Machine, root, rootFan []int) int {
 	return fan
 }
 
-// split partitions the decision tree into roughly opts.Units work units by
-// breadth-first probe runs: a node with fanout f is replaced by its f
-// child prefixes until the target is met. The resulting unit roots
-// partition the tree's schedules exactly, so merging unit results never
-// double-counts. Choice points consumed by splitting are recorded in
-// e.splitTree to keep the reported tree statistics whole.
-func (e *mcEngine) split() []*mcUnit {
+// frontier partitions the decision tree into roughly opts.Units work
+// units by breadth-first probe runs — a node with fanout f is replaced by
+// its f child prefixes until the target is met — and returns them as a
+// zero-progress checkpoint. The unit roots partition the tree's schedules
+// exactly, so merging unit results never double-counts; the choice points
+// consumed by splitting are recorded in the checkpoint's Tree to keep the
+// reported tree statistics whole.
+func (e *mcEngine) frontier() *Checkpoint {
+	c := e.cfg
+	cp := &Checkpoint{
+		Threads:      c.Threads,
+		BufferSize:   c.BufferSize,
+		Model:        c.Model.String(),
+		DrainBuffer:  c.DrainBuffer,
+		Label:        e.opts.Label,
+		Reorder:      max(e.bound, 0),
+		DPOR:         e.opts.DPOR,
+		Counts:       map[string]int{},
+		MaxOccupancy: make([]int, c.Threads),
+	}
 	type pend struct{ root, fan []int }
 	// A defensive ceiling: past this depth a chain is cheaper to explore
 	// than to keep probing.
 	const maxSplitDepth = 64
 	q := []pend{{nil, nil}}
-	var done []*mcUnit
+	unit := func(p pend) {
+		cp.Units = append(cp.Units, UnitCheckpoint{Root: p.root, RootFanout: p.fan})
+	}
 	// One machine serves every probe; splitting is sequential. Created
 	// lazily so single-unit explorations pay nothing here.
 	var pm *Machine
@@ -503,24 +455,23 @@ func (e *mcEngine) split() []*mcUnit {
 			pm.Close()
 		}
 	}()
-	for len(q) > 0 && len(q)+len(done) < e.opts.Units {
+	for len(q) > 0 && len(q)+len(cp.Units) < e.opts.Units {
 		p := q[0]
 		q = q[1:]
 		if len(p.root) >= maxSplitDepth {
-			done = append(done, &mcUnit{root: p.root, rootFan: p.fan})
+			unit(p)
 			continue
 		}
 		if pm == nil {
-			c := e.cfg
 			c.MaxSteps = e.opts.MaxStepsPerRun
 			pm = NewMachine(c)
 		}
 		fan := e.probeFanout(pm, p.root, p.fan)
 		if fan < 2 {
-			done = append(done, &mcUnit{root: p.root, rootFan: p.fan})
+			unit(p)
 			continue
 		}
-		e.splitTree.node(len(p.root), fan)
+		cp.Tree.node(len(p.root), fan)
 		for b := 0; b < fan; b++ {
 			q = append(q, pend{
 				root: append(append([]int(nil), p.root...), b),
@@ -529,7 +480,7 @@ func (e *mcEngine) split() []*mcUnit {
 		}
 	}
 	for _, p := range q {
-		done = append(done, &mcUnit{root: p.root, rootFan: p.fan})
+		unit(p)
 	}
-	return done
+	return cp
 }

@@ -223,7 +223,7 @@ func NewMachine(cfg Config) *Machine {
 	// that memory at a high rate, and with the Machine allocated first the
 	// sweep measured ~20% slower on a 2-CPU host, its GC mark phases
 	// lengthened.
-	m := &Machine{mem: newMemory(c.MemWords), rng: rand.New(rand.NewSource(c.Seed))}
+	m := &Machine{mem: newMemory(1), rng: rand.New(rand.NewSource(c.Seed))}
 	m.init(c, c.BufferSize, c.DrainBuffer, &chaosPolicy{})
 	return m
 }

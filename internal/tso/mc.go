@@ -2,13 +2,15 @@ package tso
 
 // This file is the exhaustive model-checking engine behind
 // ExploreExhaustive: the same replay-based schedule enumeration as
-// ExploreUntil, restructured around three scalability mechanisms the
-// sequential reference engine lacks.
+// ExploreWithChoices, restructured around three scalability mechanisms
+// the sequential reference engine lacks.
 //
 //   - An explicit frontier: the decision tree is partitioned into
-//     choice-prefix work units (frontier.go) so independent subtrees run
-//     in parallel on a worker pool and the unexplored remainder can be
-//     serialized as a Checkpoint and resumed later.
+//     choice-prefix work units held in a Checkpoint (frontier.go), so
+//     independent subtrees run in parallel on a worker pool and the
+//     unexplored remainder can be serialized and resumed later. Every
+//     exploration resumes a checkpoint: a fresh one starts from the
+//     zero-progress frontier ShardFrontier returns.
 //
 //   - Canonical-state memoization: at every new tree node the engine
 //     hashes the machine's canonical state — shared memory, every store
@@ -368,16 +370,15 @@ type mcUnit struct {
 	root    []int
 	rootFan []int
 	// prefix/fanout are the DFS position: the full current path, root
-	// included. Non-nil before the first run only when resuming.
+	// included. Non-nil before the first run only when resuming a unit
+	// that had started.
 	prefix, fanout []int
-	resumed        bool
 
 	frames []*mcFrame
 	// acc aggregates the unit root's fully explored subtree.
 	acc      memoEntry
 	res      ExploreResult
 	complete bool
-	started  bool
 
 	// DPOR bookkeeping. freshFrom is the depth the current run first
 	// diverges from already-race-scanned prefixes (race detection skips
@@ -502,8 +503,6 @@ type mcEngine struct {
 
 	executed atomic.Int64 // machine runs charged against MaxRuns
 	stopped  atomic.Bool  // budget exhausted or a worker panicked
-
-	splitTree TreeStats // choice points consumed by frontier splitting
 }
 
 // reorderDelta reports whether executing act in the machine's current
@@ -712,15 +711,15 @@ func machineHWInto(m *Machine, dst []int) []int {
 // budget stops the engine, in which case the unit snapshots its resumable
 // position. r is the calling worker's reusable runner.
 func (e *mcEngine) exploreUnit(r *mcRunner, u *mcUnit) {
-	u.started = true
 	rootLen := len(u.root)
 	if u.prefix == nil {
 		u.prefix = append([]int(nil), u.root...)
 		u.fanout = append([]int(nil), u.rootFan...)
-	} else if u.resumed {
-		// Rebuild empty frames for the checkpointed path. Their subtrees
-		// were partially counted before the checkpoint, so they must not
-		// be memoized, and sleep-set identities are gone: the remaining
+	} else {
+		// Resumed mid-unit: rebuild empty frames for the checkpointed
+		// path. Their subtrees were partially counted before the
+		// checkpoint, so they must not be memoized, and sleep-set
+		// identities are gone: the remaining
 		// branches are all explored (sound, merely less pruned). Under
 		// DPOR the checkpoint's done-masks say which branches finished
 		// before the interruption; bt stays nil (= every branch), since

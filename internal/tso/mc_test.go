@@ -246,7 +246,7 @@ func TestExploreTreeStatsReported(t *testing.T) {
 	}
 }
 
-// --- ExploreUntil edge cases (the sequential reference engine) ---
+// --- ExploreWithChoices edge cases (the sequential reference engine) ---
 
 // TestExploreErrorRunsTruncateAndContinue: a program that panics on some
 // schedules must not wedge the enumeration — error runs are unwound,
@@ -268,17 +268,16 @@ func TestExploreErrorRunsTruncateAndContinue(t *testing.T) {
 		}
 	}
 	var okRuns, errRuns int
-	res := Explore(Config{Threads: 2, BufferSize: 1}, mk, ExploreOptions{}, func(m *Machine, err error) {
+	res := ExploreWithChoices(Config{Threads: 2, BufferSize: 1}, mk, ExploreOptions{}, func(m *Machine, err error, _ []int) bool {
 		if err != nil {
-			var pp *ProgramPanic
 			if !strings.Contains(err.Error(), "observed the store") {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			_ = pp
 			errRuns++
-			return
+		} else {
+			okRuns++
 		}
-		okRuns++
+		return false
 	})
 	if !res.Complete {
 		t.Fatalf("incomplete after %d runs", res.Runs)
@@ -321,7 +320,7 @@ func TestExploreReplayDeterminismPanics(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", v)
 		}
 	}()
-	Explore(Config{Threads: 2, BufferSize: 2}, mk, ExploreOptions{}, func(m *Machine, err error) {})
+	ExploreWithChoices(Config{Threads: 2, BufferSize: 2}, mk, ExploreOptions{}, func(*Machine, error, []int) bool { return false })
 }
 
 // TestExploreMaxRunsExactlyLastSchedule: when the budget lands exactly on

@@ -109,8 +109,8 @@ func (p *chaosPolicy) pickRunnable(m *Machine) int {
 // chooserPolicy replaces random scheduling with deterministic enumeration:
 // at every step it lists the possible actions (run each thread with a
 // pending request, drain each non-empty buffer, in deterministic order)
-// and asks choose to pick one. Explore and the exhaustive engine use it to
-// enumerate schedules.
+// and asks choose to pick one. ExploreWithChoices, the exhaustive engine
+// and ReplaySchedule use it to enumerate schedules.
 type chooserPolicy struct {
 	bufferedPolicy
 	// choose picks one of the listed actions. The slice is only valid for

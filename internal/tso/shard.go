@@ -4,13 +4,17 @@ package tso
 // engine: splitting a program's decision tree into distributable work
 // units without exploring it (ShardFrontier), decomposing a checkpoint
 // into independently explorable single-unit shards (Checkpoint.Shards),
-// and folding shard results back into one total with the engine's
-// deterministic merge (Fold). The verification service (internal/serve)
-// is the primary consumer: its dispatcher ships shards to a worker pool
-// — or, via the same JSON wire format, to other processes — and folds
-// the slices as they complete.
+// and folding shard results back into one total (Fold). Fold is the one
+// place progress merges: ExploreExhaustive folds its own work units
+// through it too. The verification service (internal/serve) is the
+// primary consumer: its dispatcher ships shards to a worker pool and
+// folds the slices as they complete.
 
-import "sync"
+import (
+	"maps"
+	"slices"
+	"sync"
+)
 
 // ShardFrontier partitions the decision tree of the program built by
 // mkProgs into up to opts.Units choice-prefix work units by breadth-first
@@ -18,7 +22,8 @@ import "sync"
 // Checkpoint's units partition the program's schedules exactly, so
 // resuming it (ExhaustiveOptions.Resume) — or exploring its Shards
 // independently and folding the results — accounts every schedule exactly
-// once. Tree statistics for the choice points consumed by splitting are
+// once; it is the same checkpoint an unresumed ExploreExhaustive starts
+// from. Tree statistics for the choice points consumed by splitting are
 // carried in the checkpoint so a later fold reports the whole tree.
 // Probe runs respect opts.MaxStepsPerRun and are never charged against
 // any run budget. Returns an error for an invalid cfg; panics (like the
@@ -34,27 +39,42 @@ func ShardFrontier(cfg Config, mkProgs func(m *Machine) []func(Context), opts Ex
 		return nil, err
 	}
 	e := &mcEngine{cfg: c, mk: mkProgs, opts: o, bound: o.MaxReorderings}
-	units := e.split()
-	reorder := 0
-	if o.MaxReorderings > 0 {
-		reorder = o.MaxReorderings
-	}
-	cp := &Checkpoint{
-		Threads:      c.Threads,
-		BufferSize:   c.BufferSize,
-		Model:        c.Model.String(),
-		DrainBuffer:  c.DrainBuffer,
-		Label:        o.Label,
-		Reorder:      reorder,
-		DPOR:         o.DPOR,
+	return e.frontier(), nil
+}
+
+// empty returns a checkpoint with cp's identity — machine shape, label,
+// reorder bound, DPOR mode — and no progress or units.
+func (cp *Checkpoint) empty() *Checkpoint {
+	return &Checkpoint{
+		Threads:      cp.Threads,
+		BufferSize:   cp.BufferSize,
+		Model:        cp.Model,
+		DrainBuffer:  cp.DrainBuffer,
+		Label:        cp.Label,
+		Reorder:      cp.Reorder,
+		DPOR:         cp.DPOR,
 		Counts:       map[string]int{},
-		MaxOccupancy: make([]int, c.Threads),
-		Tree:         e.splitTree,
+		MaxOccupancy: make([]int, cp.Threads),
 	}
-	for _, u := range units {
-		cp.Units = append(cp.Units, UnitCheckpoint{Root: u.root, RootFanout: u.rootFan})
+}
+
+// add merges one piece of progress into cp: counts and run tallies sum,
+// occupancy high-water marks max, and the tree/prune statistics merge.
+// Every merge is commutative, so the total is independent of the order
+// pieces arrive in.
+func (cp *Checkpoint) add(counts map[string]int, occ []int, runs, stepLimited int, tree TreeStats, prune PruneStats) {
+	for k, v := range counts {
+		cp.Counts[k] += v
 	}
-	return cp, nil
+	for i, v := range occ {
+		if i < len(cp.MaxOccupancy) && v > cp.MaxOccupancy[i] {
+			cp.MaxOccupancy[i] = v
+		}
+	}
+	cp.Runs += runs
+	cp.StepLimited += stepLimited
+	cp.Tree.merge(tree)
+	cp.Prune.merge(prune)
 }
 
 // cloneUnit deep-copies a unit checkpoint so shards share no slices.
@@ -77,114 +97,56 @@ func cloneUnit(u UnitCheckpoint) UnitCheckpoint {
 // exploration's counts. The returned checkpoints share no mutable state
 // with cp or each other.
 func (cp *Checkpoint) Shards() (base *Checkpoint, shards []*Checkpoint) {
-	base = &Checkpoint{
-		Threads:      cp.Threads,
-		BufferSize:   cp.BufferSize,
-		Model:        cp.Model,
-		DrainBuffer:  cp.DrainBuffer,
-		Label:        cp.Label,
-		Reorder:      cp.Reorder,
-		DPOR:         cp.DPOR,
-		Runs:         cp.Runs,
-		StepLimited:  cp.StepLimited,
-		Counts:       map[string]int{},
-		MaxOccupancy: append([]int(nil), cp.MaxOccupancy...),
-		Tree:         cp.Tree,
-		Prune:        cp.Prune,
-	}
-	for k, v := range cp.Counts {
-		base.Counts[k] = v
-	}
+	base = cp.empty()
+	base.add(cp.Counts, cp.MaxOccupancy, cp.Runs, cp.StepLimited, cp.Tree, cp.Prune)
 	for _, u := range cp.Units {
-		shards = append(shards, &Checkpoint{
-			Threads:      cp.Threads,
-			BufferSize:   cp.BufferSize,
-			Model:        cp.Model,
-			DrainBuffer:  cp.DrainBuffer,
-			Label:        cp.Label,
-			Reorder:      cp.Reorder,
-			DPOR:         cp.DPOR,
-			Counts:       map[string]int{},
-			MaxOccupancy: make([]int, cp.Threads),
-			Units:        []UnitCheckpoint{cloneUnit(u)},
-		})
+		shard := cp.empty()
+		shard.Units = []UnitCheckpoint{cloneUnit(u)}
+		shards = append(shards, shard)
 	}
 	return base, shards
 }
 
-// Fold accumulates shard explorations into one total with the same
-// deterministic merge ExploreExhaustive applies to its in-process work
-// units: counts and run tallies sum, occupancy high-water marks max, and
-// the tree/prune statistic merges are commutative — so the folded result
-// is independent of the order shards complete in, and concurrent shards
-// can be folded as they finish (Fold is internally synchronized). Use
-// NewFold; the zero Fold is not usable.
+// Fold accumulates explorations into one total: the base progress of a
+// checkpoint (AddBase) plus any number of zero-progress deltas (Add),
+// merged by Checkpoint.add. ExploreExhaustive folds its in-process work
+// units the same way, so a sliced exploration's total equals the
+// undivided one's, independent of the order shards complete in.
+// Concurrent shards can be folded as they finish (Fold is internally
+// synchronized). Use NewFold; the zero Fold is not usable.
 type Fold struct {
-	mu          sync.Mutex
-	counts      map[string]int
-	maxOcc      []int
-	runs        int
-	stepLimited int
-	tree        TreeStats
-	prune       PruneStats
-	memo        MemoStats
-	label       string
-	reorder     int
-	dpor        bool
+	mu sync.Mutex
+	// acc holds the folded progress and the base's identity; its Units
+	// stay empty.
+	acc  *Checkpoint
+	memo MemoStats
 }
 
 // NewFold returns an empty fold for a machine with the given thread
 // count (the length of the occupancy high-water vector).
 func NewFold(threads int) *Fold {
-	return &Fold{counts: map[string]int{}, maxOcc: make([]int, threads)}
+	return &Fold{acc: (&Checkpoint{Threads: threads}).empty()}
 }
 
 // AddBase folds the accumulated progress of a checkpoint — counts, run
 // tallies, occupancy, tree/prune statistics — ignoring its units. Call it
 // once with the base of Checkpoint.Shards (or a resumed spool snapshot)
-// before folding shard results.
+// before folding shard results. The base's phase label, reorder bound
+// and DPOR mode carry into every checkpoint the fold writes.
 func (f *Fold) AddBase(cp *Checkpoint) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for k, v := range cp.Counts {
-		f.counts[k] += v
-	}
-	f.foldOcc(cp.MaxOccupancy)
-	f.runs += cp.Runs
-	f.stepLimited += cp.StepLimited
-	f.tree.merge(cp.Tree)
-	f.prune.merge(cp.Prune)
-	// The base's identity metadata carries into every checkpoint the fold
-	// writes, so sliced explorations keep the phase label, reorder bound
-	// and DPOR mode their shards were cut under.
-	f.label = cp.Label
-	f.reorder = cp.Reorder
-	f.dpor = cp.DPOR
+	f.acc.add(cp.Counts, cp.MaxOccupancy, cp.Runs, cp.StepLimited, cp.Tree, cp.Prune)
+	f.acc.Label, f.acc.Reorder, f.acc.DPOR = cp.Label, cp.Reorder, cp.DPOR
 }
 
-// Add folds one shard exploration's delta — the OutcomeSet and
-// ExploreResult of an ExploreExhaustive call resumed from a zero-progress
-// shard checkpoint.
+// Add folds one exploration's delta — the OutcomeSet and ExploreResult of
+// an ExploreExhaustive call resumed from a zero-progress shard checkpoint.
 func (f *Fold) Add(set OutcomeSet, res ExploreResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for k, v := range set.Counts {
-		f.counts[k] += v
-	}
-	f.foldOcc(set.MaxOccupancy)
-	f.runs += res.Runs
-	f.stepLimited += res.StepLimited
-	f.tree.merge(res.Tree)
-	f.prune.merge(res.Prune)
+	f.acc.add(set.Counts, set.MaxOccupancy, res.Runs, res.StepLimited, res.Tree, res.Prune)
 	f.memo.merge(res.Memo)
-}
-
-func (f *Fold) foldOcc(occ []int) {
-	for i, v := range occ {
-		if i < len(f.maxOcc) && v > f.maxOcc[i] {
-			f.maxOcc[i] = v
-		}
-	}
 }
 
 // Result snapshots the folded totals. complete is the caller's statement
@@ -194,25 +156,22 @@ func (f *Fold) foldOcc(occ []int) {
 func (f *Fold) Result(complete bool) (OutcomeSet, ExploreResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	res := ExploreResult{
-		Runs:        f.runs,
+	set := OutcomeSet{Counts: maps.Clone(f.acc.Counts), MaxOccupancy: slices.Clone(f.acc.MaxOccupancy)}
+	return set, ExploreResult{
+		Runs:        f.acc.Runs,
 		Complete:    complete,
-		StepLimited: f.stepLimited,
-		Tree:        f.tree,
-		Prune:       f.prune,
+		StepLimited: f.acc.StepLimited,
+		Tree:        f.acc.Tree,
+		Prune:       f.acc.Prune,
 		Memo:        f.memo,
 	}
-	set := OutcomeSet{Counts: map[string]int{}, MaxOccupancy: append([]int(nil), f.maxOcc...), res: res}
-	for k, v := range f.counts {
-		set.Counts[k] = v
-	}
-	return set, res
 }
 
 // Checkpoint serializes the fold's progress plus the given unexplored
 // units as a resumable checkpoint under cfg — the spool snapshot a
-// long-running job writes between slices. The units are deep-copied.
-// Returns an error when cfg is invalid.
+// long-running job writes between slices, and ExploreExhaustive's budget
+// checkpoint. The units are deep-copied. Returns an error when cfg is
+// invalid.
 func (f *Fold) Checkpoint(cfg Config, units []UnitCheckpoint) (*Checkpoint, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -220,24 +179,9 @@ func (f *Fold) Checkpoint(cfg Config, units []UnitCheckpoint) (*Checkpoint, erro
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cp := &Checkpoint{
-		Threads:      c.Threads,
-		BufferSize:   c.BufferSize,
-		Model:        c.Model.String(),
-		DrainBuffer:  c.DrainBuffer,
-		Label:        f.label,
-		Reorder:      f.reorder,
-		DPOR:         f.dpor,
-		Runs:         f.runs,
-		StepLimited:  f.stepLimited,
-		Counts:       map[string]int{},
-		MaxOccupancy: append([]int(nil), f.maxOcc...),
-		Tree:         f.tree,
-		Prune:        f.prune,
-	}
-	for k, v := range f.counts {
-		cp.Counts[k] = v
-	}
+	cp := f.acc.empty()
+	cp.Threads, cp.BufferSize, cp.Model, cp.DrainBuffer = c.Threads, c.BufferSize, c.Model.String(), c.DrainBuffer
+	cp.add(f.acc.Counts, f.acc.MaxOccupancy, f.acc.Runs, f.acc.StepLimited, f.acc.Tree, f.acc.Prune)
 	for _, u := range units {
 		cp.Units = append(cp.Units, cloneUnit(u))
 	}

@@ -1,6 +1,8 @@
 package tso
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -177,5 +179,86 @@ func TestInterruptMidFlightResumes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(set.Counts, want.Counts) {
 		t.Fatalf("post-interrupt counts %v, want %v", set.Counts, want.Counts)
+	}
+}
+
+// TestFreshExplorationResumesShardFrontier pins the one entry path: an
+// unresumed ExploreExhaustive explores exactly the zero-progress
+// checkpoint ShardFrontier returns, so resuming that checkpoint must give
+// the same result in every mode — and, under a run budget, a checkpoint
+// with the same bytes. The label row resumes an unlabeled frontier under
+// a label, which the result checkpoint must carry as a fresh run does.
+func TestFreshExplorationResumesShardFrontier(t *testing.T) {
+	mk, out := sbProgsShared(false)
+	cfg := Config{Threads: 2, BufferSize: 2}
+	modes := []struct {
+		name string
+		opts ExhaustiveOptions
+	}{
+		{"plain", ExhaustiveOptions{}},
+		{"prune", ExhaustiveOptions{Prune: true}},
+		{"sleep", ExhaustiveOptions{SleepSets: true}},
+		{"dpor", ExhaustiveOptions{DPOR: true}},
+		{"reorder2", ExhaustiveOptions{MaxReorderings: 2}},
+		{"label", ExhaustiveOptions{Prune: true, Label: "phase"}},
+	}
+	encode := func(cp *Checkpoint) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := (BinaryCodec{}).EncodeCheckpoint(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, mode := range modes {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/p%d", mode.name, par), func(t *testing.T) {
+				run := func(maxRuns int) (fresh, resumed ExploreResult, freshSet, resumedSet OutcomeSet) {
+					o := mode.opts
+					o.Parallel, o.Units, o.MaxRuns = par, 8, maxRuns
+					freshSet, fresh = ExploreExhaustive(cfg, mk, out, o)
+					unlabeled := o
+					unlabeled.Label = ""
+					cp, err := ShardFrontier(cfg, mk, unlabeled)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Resume = cp
+					resumedSet, resumed = ExploreExhaustive(cfg, mk, out, o)
+					return fresh, resumed, freshSet, resumedSet
+				}
+
+				fresh, resumed, freshSet, resumedSet := run(0)
+				if !fresh.Complete || !resumed.Complete {
+					t.Fatalf("complete: fresh %v, resumed %v", fresh.Complete, resumed.Complete)
+				}
+				if !reflect.DeepEqual(freshSet, resumedSet) {
+					t.Fatalf("outcomes: fresh %+v, resumed %+v", freshSet, resumedSet)
+				}
+				// Parallel Prune's memo hits depend on which worker publishes
+				// first, and with them the executed runs and the tree and
+				// prune statistics; every other combination pins them.
+				if par == 1 || !mode.opts.Prune {
+					if fresh.Runs != resumed.Runs || fresh.Tree != resumed.Tree || fresh.Prune != resumed.Prune {
+						t.Fatalf("stats: fresh %d %+v %+v, resumed %d %+v %+v",
+							fresh.Runs, fresh.Tree, fresh.Prune, resumed.Runs, resumed.Tree, resumed.Prune)
+					}
+				}
+
+				if par != 1 {
+					return // which units a parallel budget reaches depends on timing
+				}
+				fresh, resumed, _, _ = run(5)
+				if fresh.Checkpoint == nil || resumed.Checkpoint == nil {
+					t.Fatalf("budgeted runs left no checkpoint: fresh %v, resumed %v", fresh.Checkpoint, resumed.Checkpoint)
+				}
+				if fresh.Checkpoint.Label != mode.opts.Label {
+					t.Fatalf("checkpoint label %q, want %q", fresh.Checkpoint.Label, mode.opts.Label)
+				}
+				if !bytes.Equal(encode(fresh.Checkpoint), encode(resumed.Checkpoint)) {
+					t.Fatalf("budget checkpoints differ:\nfresh   %+v\nresumed %+v", fresh.Checkpoint, resumed.Checkpoint)
+				}
+			})
+		}
 	}
 }

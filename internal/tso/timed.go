@@ -47,7 +47,7 @@ func NewTimedMachine(cfg Config) *TimedMachine {
 		tp.cores = make([]uint64, c.Threads/2)
 	}
 	m := &TimedMachine{tp: tp}
-	m.mem = newMemory(c.MemWords)
+	m.mem = newMemory(1)
 	// The timed engine has no coalescing drain stage; the §7.3 stage
 	// entry instead shows up as one extra slot of FIFO capacity, which is
 	// exactly the observable S+1 bound.
