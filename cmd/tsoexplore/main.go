@@ -65,8 +65,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap (allocs) profile to this file on exit")
 	flag.Parse()
 
-	if *dpor && *reorder > 0 {
-		log.Fatal("-dpor cannot combine with -reorder: the reorder bound is not closed under commuting swaps")
+	// The engine's own refusal (tso.ErrDPORReorder), as tsoserve reports it.
+	if err := (tso.ExhaustiveOptions{DPOR: *dpor, MaxReorderings: *reorder}).Validate(tso.Config{}); err != nil {
+		log.Fatalf("-dpor with -reorder: %v", err)
 	}
 
 	stopProfiles, err := runner.StartProfiles(*cpuprofile, *memprofile)

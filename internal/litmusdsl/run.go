@@ -3,6 +3,7 @@ package litmusdsl
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/tso"
 )
@@ -240,26 +241,28 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 	}
 
 	if res.Witnessed && opts.Witness {
-		// Re-explore deterministically with a tracer attached; the first
-		// witnessing schedule appears at the same position, so the search
-		// is bounded by the exploration that already ran.
-		var tr *tso.RingTracer
-		mkTraced := func(m *tso.Machine) []func(tso.Context) {
-			tr = tso.NewRingTracer(4096)
-			m.SetTracer(tr)
-			return mk(m)
-		}
-		tso.ExploreWithChoices(cfg, mkTraced, tso.ExploreOptions{MaxRuns: opts.MaxSchedules},
+		// Re-explore deterministically for the first witnessing schedule
+		// (bounded by the exploration that already ran), then replay that
+		// one schedule with a tracer attached.
+		found := false
+		tso.ExploreWithChoices(cfg, mk, tso.ExploreOptions{MaxRuns: opts.MaxSchedules},
 			func(m *tso.Machine, err error, choices []int) bool {
-				if err == nil && condHolds(t, outcome(m)) {
-					for _, e := range tr.Events() {
-						res.Witness = append(res.Witness, e.String())
-					}
+				found = err == nil && condHolds(t, outcome(m))
+				if found {
 					res.WitnessChoices = append([]int(nil), choices...)
-					return true
 				}
-				return false
+				return found
 			})
+		if found {
+			tr := tso.NewRingTracer(4096)
+			tso.ReplaySchedule(cfg, func(m *tso.Machine) []func(tso.Context) {
+				m.SetTracer(tr)
+				return mk(m)
+			}, res.WitnessChoices, nil)
+			for _, e := range tr.Events() {
+				res.Witness = append(res.Witness, e.String())
+			}
+		}
 	}
 	return res, nil
 }
@@ -267,8 +270,8 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 // condHolds evaluates the conjunction against a rendered outcome.
 func condHolds(t *Test, outcome string) bool {
 	fields := map[string]string{}
-	for _, f := range splitFields(outcome) {
-		if k, v, ok := cut(f, "="); ok {
+	for _, f := range strings.Fields(outcome) {
+		if k, v, ok := strings.Cut(f, "="); ok {
 			fields[k] = v
 		}
 	}
@@ -293,32 +296,4 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func splitFields(s string) []string {
-	var out []string
-	cur := ""
-	for _, ch := range s {
-		if ch == ' ' {
-			if cur != "" {
-				out = append(out, cur)
-				cur = ""
-			}
-			continue
-		}
-		cur += string(ch)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
-}
-
-func cut(s, sep string) (string, string, bool) {
-	for i := 0; i+len(sep) <= len(s); i++ {
-		if s[i:i+len(sep)] == sep {
-			return s[:i], s[i+len(sep):], true
-		}
-	}
-	return s, "", false
 }

@@ -1,10 +1,12 @@
 package oracle
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tso"
 )
 
 // exhaustOpts is the shared configuration for the pruned full-state
@@ -196,5 +198,56 @@ func TestOracleSamplingCounterexample(t *testing.T) {
 	}
 	if len(ce.Trace) == 0 {
 		t.Fatal("sampling counterexample has no trace")
+	}
+}
+
+// TestCounterexampleTraceIsReplayed pins the exhaustive witness search's
+// trace: the search runs untraced and replays only its hit, so the
+// counterexample's trace must equal what Replay of its choices records —
+// under the search's own step bound as well as the default one.
+func TestCounterexampleTraceIsReplayed(t *testing.T) {
+	p := Program{Algo: core.AlgoFFCL, S: 2, Delta: 1, Prefill: 3, WorkerOps: "TT", Thieves: []int{2}}
+	for _, steps := range []int64{0, 5000} {
+		sc := p.Scenario()
+		ce := FindCounterexample(sc, Precise{}, RunOptions{MaxSchedules: 1 << 16, MaxStepsPerRun: steps})
+		if ce == nil || len(ce.Trace) == 0 {
+			t.Fatalf("steps=%d: no traced counterexample: %+v", steps, ce)
+		}
+		viols, trace, err := Replay(sc, Precise{}, ce.Choices)
+		if err != nil || RenderVerdict(viols) != ce.Outcome {
+			t.Fatalf("steps=%d: replay gave %q, %v; want %q", steps, RenderVerdict(viols), err, ce.Outcome)
+		}
+		if !reflect.DeepEqual(trace, ce.Trace) {
+			t.Fatalf("steps=%d: counterexample trace differs from Replay's:\n%v\n%v", steps, ce.Trace, trace)
+		}
+	}
+}
+
+// TestSamplingCounterexampleTraceIsRerun pins the sampling witness
+// search's trace: it must equal a traced run of the hit seed on a fresh
+// machine.
+func TestSamplingCounterexampleTraceIsRerun(t *testing.T) {
+	p := Program{Algo: core.AlgoFFCL, S: 2, Delta: 1, Prefill: 3, WorkerOps: "TT", Thieves: []int{2}}
+	sc := p.Scenario()
+	sc.Config.DrainBias = 0.05
+	ce := FindCounterexample(sc, Precise{}, RunOptions{SampleRuns: 50})
+	if ce == nil || ce.Seed < 0 || len(ce.Trace) == 0 {
+		t.Fatalf("no traced sampling counterexample: %+v", ce)
+	}
+	c := sc.Config
+	c.Seed = ce.Seed
+	m := tso.NewMachine(c)
+	defer m.Close()
+	tr := tso.NewRingTracer(traceWindow)
+	m.SetTracer(tr)
+	progs, h := sc.Build(m)
+	if err := m.Run(progs...); err != nil {
+		t.Fatal(err)
+	}
+	if got := RenderVerdict(Precise{}.Check(h)); got != ce.Outcome {
+		t.Fatalf("seed %d reran to %q, want %q", ce.Seed, got, ce.Outcome)
+	}
+	if lines := traceLines(tr); !reflect.DeepEqual(lines, ce.Trace) {
+		t.Fatalf("seed %d: counterexample trace differs from a traced rerun:\n%v\n%v", ce.Seed, ce.Trace, lines)
 	}
 }

@@ -206,6 +206,7 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 	if spec == nil {
 		spec = Precise{}
 	}
+	// The searches run untraced; only the one hit is rerun with a tracer.
 	if opts.SampleRuns > 0 {
 		c := sc.Config
 		if opts.MaxStepsPerRun > 0 {
@@ -215,8 +216,6 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 		defer m.Close()
 		for seed := 0; seed < opts.SampleRuns; seed++ {
 			m.ResetSeed(int64(seed))
-			tr := tso.NewRingTracer(traceWindow)
-			m.SetTracer(tr)
 			progs, h := sc.Build(m)
 			if err := m.Run(progs...); err != nil {
 				continue
@@ -225,6 +224,11 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 			if len(viols) == 0 {
 				continue
 			}
+			tr := tso.NewRingTracer(traceWindow)
+			m.SetTracer(tr)
+			m.ResetSeed(int64(seed))
+			progs, _ = sc.Build(m)
+			m.Run(progs...)
 			return &Counterexample{
 				Outcome:    RenderVerdict(viols),
 				Violations: viols,
@@ -235,11 +239,8 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 		return nil
 	}
 	var ce *Counterexample
-	var tr *tso.RingTracer
 	var hist *History
 	mk := func(m *tso.Machine) []func(tso.Context) {
-		tr = tso.NewRingTracer(traceWindow)
-		m.SetTracer(tr)
 		progs, h := sc.Build(m)
 		hist = h
 		return progs
@@ -258,10 +259,15 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 			Violations: viols,
 			Choices:    append([]int(nil), choices...),
 			Seed:       -1,
-			Trace:      traceLines(tr),
 		}
 		return true
 	})
+	if ce != nil {
+		// Replay under the search's step bound (zero defaults alike).
+		rsc := sc
+		rsc.Config.MaxSteps = opts.MaxStepsPerRun
+		_, ce.Trace, _ = Replay(rsc, spec, ce.Choices)
+	}
 	return ce
 }
 

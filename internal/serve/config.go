@@ -1,12 +1,15 @@
 // Package serve is the always-on verification service: an HTTP daemon
 // that accepts deque workloads (oracle programs) as jobs, model-checks
 // them by sharding each job's schedule frontier across a bounded worker
-// pool, and folds the shard deltas with the engine's deterministic merge
-// — so a job's outcome counts are byte-identical to a direct in-process
-// tso.ExploreExhaustive/oracle.Run of the same program. Progress is checkpointed
-// periodically to a spool directory in the frontier wire format
-// (tso.Checkpoint), so a killed or drained server resumes its jobs on
-// restart and still lands on the same final counts.
+// pool, and folds the shard deltas with the engine's own merge
+// (tso.Fold) — so a job's outcome counts are byte-identical to a direct
+// in-process tso.ExploreExhaustive/oracle.Run of the same program. A job
+// starts the way it restarts: the dispatcher adopts a checkpoint — the
+// freshly planned frontier or a spooled one — by one path. Progress is
+// checkpointed periodically to a spool directory in the frontier wire
+// format (tso.Checkpoint), so a killed or drained server resumes its jobs
+// on restart and still lands on the same final counts. The /metrics
+// exploration counters are one more tso.Fold over every slice.
 package serve
 
 import (

@@ -42,9 +42,9 @@ type Server struct {
 	draining bool
 
 	stopOnce sync.Once
-	stopCh   chan struct{} // closed on Drain/Kill; wired as exploration Interrupt
-	tickOnce sync.Once
-	tickStop chan struct{}
+	// stopCh is closed on Drain/Kill: it is every exploration's Interrupt
+	// and stops the ticker.
+	stopCh   chan struct{}
 	tickDone chan struct{}
 	// drainOnce makes Drain run once; a concurrent second call blocks
 	// until the first has spooled every frontier.
@@ -94,7 +94,6 @@ func NewServer(cfg Config) (*Server, error) {
 		metrics:  NewMetrics(),
 		jobs:     map[string]*job{},
 		stopCh:   make(chan struct{}),
-		tickStop: make(chan struct{}),
 		tickDone: make(chan struct{}),
 	}
 	if err := s.resume(); err != nil {
@@ -309,8 +308,26 @@ func (s *Server) plan(ctx context.Context, id string) error {
 	}
 
 	s.mu.Lock()
+	s.startLocked(j, cp) // never finalizes: this plan task is in flight
+	j.dirty = true
+	rec := s.recordLocked(j)
+	s.mu.Unlock()
+	// The first durable frontier: a kill before the first ticker write
+	// must still resume without re-planning.
+	s.put(rec)
+	return nil
+}
+
+// startLocked adopts a checkpoint as a job's frontier — the planned one,
+// or a spooled one at restart: its accumulated progress seeds the fold
+// and each unexplored unit becomes an outstanding single-unit shard with
+// a queued slice. A checkpoint with nothing left to explore finalizes
+// the job at once; the returned record is then the one to spool, nil
+// otherwise (mu held).
+func (s *Server) startLocked(j *job, cp *tso.Checkpoint) *Record {
 	base, shards := cp.Shards()
 	j.fold.AddBase(base)
+	j.executed = base.Runs
 	j.state = StateRunning
 	for _, shard := range shards {
 		uid := j.nextUnit
@@ -318,12 +335,9 @@ func (s *Server) plan(ctx context.Context, id string) error {
 		j.outstanding[uid] = shard
 		s.enqueueSliceLocked(j, uid)
 	}
-	j.dirty = true
-	rec := s.recordLocked(j)
-	s.mu.Unlock()
-	// The first durable frontier: a kill before the first ticker write
-	// must still resume without re-planning.
-	s.put(rec)
+	if len(shards) == 0 && j.inFlight == 0 {
+		return s.finalizeLocked(j)
+	}
 	return nil
 }
 
@@ -399,55 +413,24 @@ func (s *Server) explore(ctx context.Context, id string, uid int) error {
 	s.foldMetrics(set, res)
 	if res.Complete {
 		delete(j.outstanding, uid)
-	} else if res.Checkpoint != nil {
-		// The engine may split an interrupted unit; the first remainder
-		// keeps this unit's ID, extras become new units.
-		_, rest := res.Checkpoint.Shards()
-		if len(rest) == 0 {
-			delete(j.outstanding, uid)
-		}
-		for i, r := range rest {
-			nid := uid
-			if i > 0 {
-				nid = j.nextUnit
-				j.nextUnit++
-			}
-			j.outstanding[nid] = r
-			if i > 0 && !s.draining && j.budget > 0 {
-				s.enqueueSliceLocked(j, nid)
-			}
-		}
+		return nil
 	}
-	if _, still := j.outstanding[uid]; still && !s.draining && j.budget > 0 {
+	// A slice resumes one unit and the engine reports only the units it
+	// resumed that are still open, so the remainder is exactly one unit.
+	_, rest := res.Checkpoint.Shards()
+	j.outstanding[uid] = rest[0]
+	if !s.draining && j.budget > 0 {
 		s.enqueueSliceLocked(j, uid)
 	}
 	return nil
 }
 
-// foldMetrics accumulates one slice's engine statistics (mu held, cheap
-// atomics).
+// foldMetrics folds one slice's engine statistics into the server-wide
+// totals.
 func (s *Server) foldMetrics(set tso.OutcomeSet, res tso.ExploreResult) {
-	s.metrics.runsExecuted.Add(int64(res.Runs))
-	s.metrics.schedulesAccounted.Add(int64(set.Total()))
-	s.metrics.stepLimited.Add(int64(res.StepLimited))
-	s.metrics.choicePoints.Add(res.Tree.ChoicePoints)
-	s.metrics.pruneSeen.Add(res.Prune.StatesSeen)
-	s.metrics.pruneDeduped.Add(res.Prune.StatesDeduped)
-	s.metrics.schedulesSaved.Add(res.Prune.SchedulesSaved)
-	s.metrics.reorderSkips.Add(res.Prune.ReorderSkips)
-	s.metrics.dporRaces.Add(res.Prune.DPORRaces)
-	s.metrics.dporBacktracks.Add(res.Prune.DPORBacktracks)
-	s.metrics.dporSleepSkips.Add(res.Prune.DPORSleepSkips)
-	s.metrics.memoAdmitted.Add(res.Memo.Admitted)
-	s.metrics.memoEvicted.Add(res.Memo.Evicted)
-	s.metrics.memoContended.Add(res.Memo.Contended)
+	s.metrics.explored.Add(set, res)
 	if res.Memo.Entries > 0 {
 		s.metrics.memoEntries.Store(int64(res.Memo.Entries))
-	}
-	for o, n := range set.Counts {
-		if o != "ok" && o != "<step-limit>" {
-			s.metrics.violations.Add(int64(n))
-		}
 	}
 }
 
@@ -506,11 +489,7 @@ func (s *Server) finalizeLocked(j *job) *Record {
 		Tree:         res.Tree,
 		Prune:        res.Prune,
 		Memo:         res.Memo,
-	}
-	for o, n := range set.Counts {
-		if o != "ok" && o != "<step-limit>" {
-			result.Violating += n
-		}
+		Violating:    violating(set.Counts),
 	}
 	j.result = result
 	if result.Violating > 0 {
@@ -518,6 +497,12 @@ func (s *Server) finalizeLocked(j *job) *Record {
 			return nil // the witness task completes the job
 		}
 	}
+	return s.completeLocked(j)
+}
+
+// completeLocked moves a job with a sealed result to the done state and
+// returns the record to spool (mu held).
+func (s *Server) completeLocked(j *job) *Record {
 	j.state = StateDone
 	s.metrics.jobsCompleted.Add(1)
 	s.metrics.jobsActive.Add(-1)
@@ -575,10 +560,7 @@ func (s *Server) witnessDone(id string, o runner.Outcome) {
 	j.inFlight--
 	var rec *Record
 	if j.state == StateRunning {
-		j.state = StateDone
-		s.metrics.jobsCompleted.Add(1)
-		s.metrics.jobsActive.Add(-1)
-		rec = s.recordLocked(j)
+		rec = s.completeLocked(j)
 	}
 	s.mu.Unlock()
 	if rec != nil {
@@ -593,21 +575,21 @@ func (s *Server) ticker() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.tickStop:
+		case <-s.stopCh:
 			return
 		case <-t.C:
-			s.checkpointDirty()
+			s.spoolUnfinished(true)
 		}
 	}
 }
 
-// checkpointDirty spools every running job whose state moved since its
-// last write.
-func (s *Server) checkpointDirty() {
+// spoolUnfinished spools every queued or running job — with onlyDirty,
+// only those whose state moved since their last write.
+func (s *Server) spoolUnfinished(onlyDirty bool) {
 	s.mu.Lock()
 	var recs []*Record
 	for _, j := range s.jobs {
-		if j.dirty && (j.state == StateRunning || j.state == StateQueued) {
+		if (j.dirty || !onlyDirty) && (j.state == StateRunning || j.state == StateQueued) {
 			recs = append(recs, s.recordLocked(j))
 			j.dirty = false
 		}
@@ -662,22 +644,9 @@ func (s *Server) resume() error {
 		}); err != nil {
 			return fmt.Errorf("serve: resuming %s: %w", rec.ID, err)
 		}
-		base, shards := rec.Checkpoint.Shards()
-		j.fold.AddBase(base)
-		j.executed = base.Runs
-		j.state = StateRunning
-		for _, shard := range shards {
-			uid := j.nextUnit
-			j.nextUnit++
-			j.outstanding[uid] = shard
-			s.enqueueSliceLocked(j, uid)
-		}
-		if len(shards) == 0 && j.inFlight == 0 {
-			// Everything was folded before the shutdown; finish the job.
-			rec2 := s.finalizeLocked(j)
-			if rec2 != nil {
-				go s.put(rec2)
-			}
+		if rec2 := s.startLocked(j, rec.Checkpoint); rec2 != nil {
+			// Everything was folded before the shutdown; the job is done.
+			go s.put(rec2)
 		}
 	}
 	return nil
@@ -692,25 +661,8 @@ func (s *Server) resume() error {
 func (s *Server) Drain() { s.drainOnce.Do(s.drain) }
 
 func (s *Server) drain() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.tickOnce.Do(func() { close(s.tickStop) })
-	<-s.tickDone
-	s.pool.Close(true)
-	s.mu.Lock()
-	var recs []*Record
-	for _, j := range s.jobs {
-		if j.state == StateRunning || j.state == StateQueued {
-			recs = append(recs, s.recordLocked(j))
-			j.dirty = false
-		}
-	}
-	s.mu.Unlock()
-	for _, rec := range recs {
-		s.put(rec)
-	}
+	s.stop(true)
+	s.spoolUnfinished(false)
 }
 
 // Kill hard-stops the server without spooling anything beyond what the
@@ -718,11 +670,18 @@ func (s *Server) drain() {
 // first, so the on-disk state is exactly what a real kill would leave.
 func (s *Server) Kill() {
 	s.store.Seal()
+	s.stop(false)
+}
+
+// stop closes intake, interrupts in-flight slices at their next run
+// boundary, stops the ticker, and closes the pool: with runQueued its
+// queued tasks still run (and, seeing the drain, return at once),
+// otherwise they are cancelled.
+func (s *Server) stop(runQueued bool) {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.tickOnce.Do(func() { close(s.tickStop) })
 	<-s.tickDone
-	s.pool.Close(false)
+	s.pool.Close(runQueued)
 }

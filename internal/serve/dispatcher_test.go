@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/tso"
 )
 
 // waitServer polls a server-side job to a terminal state.
@@ -164,5 +166,69 @@ func TestResumeTwice(t *testing.T) {
 	want := directReport(t, mediumSpec())
 	if !reflect.DeepEqual(final.Result.Outcomes, want.Outcomes) {
 		t.Fatalf("twice-resumed outcomes %v, want %v", final.Result.Outcomes, want.Outcomes)
+	}
+}
+
+// TestRestartFinalizesFoldedCheckpoint: a job spooled as running whose
+// checkpoint has no units left (everything was folded before the
+// shutdown) must finalize at restart with exactly the checkpoint's
+// counts, and spool its done record.
+func TestRestartFinalizesFoldedCheckpoint(t *testing.T) {
+	spool := t.TempDir()
+	js := smallSpec()
+	prog, check, err := js.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := prog.Scenario()
+	mk, out := sc.Outcomes(check)
+	set, res := tso.ExploreExhaustive(sc.Config, mk, out, tso.ExhaustiveOptions{Prune: true})
+	fold := tso.NewFold(sc.Config.Threads)
+	fold.Add(set, res)
+	cp, err := fold.Checkpoint(sc.Config, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStore(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000007"
+	if err := store.Put(&Record{ID: id, Spec: js, State: StateRunning, Budget: 1000, Checkpoint: cp}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewServer(Config{SpoolDir: spool, Workers: 1, CheckpointInterval: Duration(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	final := waitServer(t, s, id, 60*time.Second)
+	r := final.Result
+	if final.State != StateDone || r == nil || !r.Complete {
+		t.Fatalf("restarted job did not finalize complete: %+v", final)
+	}
+	if !reflect.DeepEqual(r.Outcomes, cp.Counts) || r.Executed != cp.Runs || r.Schedules != set.Total() {
+		t.Fatalf("restart result %+v, want the checkpoint's counts %v over %d runs", r, cp.Counts, cp.Runs)
+	}
+	if r.Tree != cp.Tree || r.Prune != cp.Prune {
+		t.Fatalf("restart stats tree=%+v prune=%+v, want %+v %+v", r.Tree, r.Prune, cp.Tree, cp.Prune)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rec, err := store.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.State == StateDone && rec.Checkpoint == nil && reflect.DeepEqual(rec.Result.Outcomes, cp.Counts) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("done record never spooled: %+v", rec)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st, err := s.Submit(smallSpec()); err != nil || st.ID != "job-000008" {
+		t.Fatalf("next submission got %q, %v; want job-000008", st.ID, err)
 	}
 }

@@ -203,6 +203,18 @@ type JobResult struct {
 	Witness *Witness `json:"witness,omitempty"`
 }
 
+// violating sums the verdict counts that are violations: every verdict
+// but "ok" and "<step-limit>".
+func violating(counts map[string]int) int {
+	n := 0
+	for o, c := range counts {
+		if o != "ok" && o != "<step-limit>" {
+			n += c
+		}
+	}
+	return n
+}
+
 // JobStatus is the GET /v1/jobs/{id} body.
 type JobStatus struct {
 	// ID is the server-assigned job identifier.

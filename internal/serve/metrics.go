@@ -5,13 +5,16 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/tso"
 )
 
 // Metrics is the service's Prometheus-style counter set. All fields are
 // monotonic counters except where noted; WritePrometheus renders them in
-// the text exposition format. Exploration counters are sourced from the
-// engine's own statistics (ExploreResult, TreeStats, PruneStats) as
-// slices fold, so they agree exactly with job results.
+// the text exposition format. Exploration counters come from one
+// server-wide tso.Fold that every slice's result is added to — the same
+// merge that folds each job's own result — so they agree exactly with
+// job results.
 type Metrics struct {
 	start time.Time
 
@@ -29,44 +32,17 @@ type Metrics struct {
 	// jobsActive is the current number of queued or running jobs (gauge).
 	jobsActive atomic.Int64
 
-	// runsExecuted counts schedules actually executed on a machine.
-	runsExecuted atomic.Int64
-	// schedulesAccounted counts schedules accounted for, including those
-	// credited from the memo table without execution.
-	schedulesAccounted atomic.Int64
-	// stepLimited counts schedules that hit the per-run step bound.
-	stepLimited atomic.Int64
-	// violations counts accounted schedules with violating verdicts.
-	violations atomic.Int64
-	// choicePoints accumulates TreeStats.ChoicePoints across slices.
-	choicePoints atomic.Int64
-	// pruneSeen and pruneDeduped accumulate PruneStats hashing and memo
-	// hits; their ratio is the exposed hit rate.
-	pruneSeen    atomic.Int64
-	pruneDeduped atomic.Int64
-	// schedulesSaved accumulates PruneStats.SchedulesSaved.
-	schedulesSaved atomic.Int64
-	// reorderSkips accumulates PruneStats.ReorderSkips — subtrees cut by a
-	// job's reorder bound.
-	reorderSkips atomic.Int64
-	// dporRaces, dporBacktracks, and dporSleepSkips accumulate the
-	// dependence layer's PruneStats across DPOR-mode slices: reversible
-	// races detected on executed runs, branches added to frame backtrack
-	// sets, and branches skipped by dependence-derived sleep sets.
-	dporRaces      atomic.Int64
-	dporBacktracks atomic.Int64
-	dporSleepSkips atomic.Int64
-
+	// explored folds every explore slice's outcome set and statistics:
+	// executed and accounted schedules, verdicts, tree, prune, DPOR and
+	// memo counters. Plan probes and resumed checkpoints' bases are not
+	// added, so it counts only work this process executed. It is built
+	// for zero threads: jobs differ in shape and /metrics reports no
+	// occupancy.
+	explored *tso.Fold
 	// memoEntries is the number of entries resident in the memo arena at
 	// the end of the most recently folded slice (gauge; each slice runs
 	// its own arena, so residency is per-slice, not cumulative).
 	memoEntries atomic.Int64
-	// memoAdmitted, memoEvicted, and memoContended accumulate MemoStats
-	// across slices: entries written, entries displaced by the per-stripe
-	// FIFO clock, and stripe-lock acquisitions that had to wait.
-	memoAdmitted  atomic.Int64
-	memoEvicted   atomic.Int64
-	memoContended atomic.Int64
 
 	// slices counts pool tasks executed (plan and explore).
 	slices atomic.Int64
@@ -77,20 +53,20 @@ type Metrics struct {
 // NewMetrics returns a metrics set anchored at now (for the uptime and
 // throughput gauges).
 func NewMetrics() *Metrics {
-	return &Metrics{start: time.Now()}
+	return &Metrics{start: time.Now(), explored: tso.NewFold(0)}
 }
 
 // WritePrometheus renders every metric in the Prometheus text format.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	uptime := time.Since(m.start).Seconds()
-	executed := m.runsExecuted.Load()
+	set, res := m.explored.Result(false)
 	var perSec float64
 	if uptime > 0 {
-		perSec = float64(executed) / uptime
+		perSec = float64(res.Runs) / uptime
 	}
 	var hitRate float64
-	if seen := m.pruneSeen.Load(); seen > 0 {
-		hitRate = float64(m.pruneDeduped.Load()) / float64(seen)
+	if res.Prune.StatesSeen > 0 {
+		hitRate = float64(res.Prune.StatesDeduped) / float64(res.Prune.StatesSeen)
 	}
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -104,23 +80,23 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("tsoserve_jobs_failed_total", "Jobs that errored.", m.jobsFailed.Load())
 	counter("tsoserve_jobs_resumed_total", "Jobs recovered from the spool at startup.", m.jobsResumed.Load())
 	gauge("tsoserve_jobs_active", "Queued or running jobs right now.", float64(m.jobsActive.Load()))
-	counter("tsoserve_runs_executed_total", "Schedules executed on a machine.", executed)
-	counter("tsoserve_schedules_accounted_total", "Schedules accounted for, including memoized credits.", m.schedulesAccounted.Load())
-	counter("tsoserve_step_limited_total", "Schedules that hit the per-run step bound.", m.stepLimited.Load())
-	counter("tsoserve_violations_total", "Accounted schedules with violating verdicts.", m.violations.Load())
-	counter("tsoserve_tree_choice_points_total", "Decision-tree nodes with fanout >= 2 explored.", m.choicePoints.Load())
-	counter("tsoserve_prune_states_seen_total", "Canonical states hashed by the memoizer.", m.pruneSeen.Load())
-	counter("tsoserve_prune_states_deduped_total", "Canonical states found already memoized.", m.pruneDeduped.Load())
-	counter("tsoserve_prune_schedules_saved_total", "Schedules credited from the memo table without execution.", m.schedulesSaved.Load())
+	counter("tsoserve_runs_executed_total", "Schedules executed on a machine.", int64(res.Runs))
+	counter("tsoserve_schedules_accounted_total", "Schedules accounted for, including memoized credits.", int64(set.Total()))
+	counter("tsoserve_step_limited_total", "Schedules that hit the per-run step bound.", int64(res.StepLimited))
+	counter("tsoserve_violations_total", "Accounted schedules with violating verdicts.", int64(violating(set.Counts)))
+	counter("tsoserve_tree_choice_points_total", "Decision-tree nodes with fanout >= 2 explored.", res.Tree.ChoicePoints)
+	counter("tsoserve_prune_states_seen_total", "Canonical states hashed by the memoizer.", res.Prune.StatesSeen)
+	counter("tsoserve_prune_states_deduped_total", "Canonical states found already memoized.", res.Prune.StatesDeduped)
+	counter("tsoserve_prune_schedules_saved_total", "Schedules credited from the memo table without execution.", res.Prune.SchedulesSaved)
 	gauge("tsoserve_prune_hit_rate", "StatesDeduped / StatesSeen over the process lifetime.", hitRate)
-	counter("tsoserve_reorder_skips_total", "Subtrees cut by jobs' reorder bounds.", m.reorderSkips.Load())
-	counter("tsoserve_dpor_races_detected_total", "Reversible races DPOR detected on executed runs.", m.dporRaces.Load())
-	counter("tsoserve_dpor_backtracks_total", "Branches DPOR race handling added to backtrack sets.", m.dporBacktracks.Load())
-	counter("tsoserve_dpor_sleep_skips_total", "Branches skipped by DPOR dependence-derived sleep sets.", m.dporSleepSkips.Load())
+	counter("tsoserve_reorder_skips_total", "Subtrees cut by jobs' reorder bounds.", res.Prune.ReorderSkips)
+	counter("tsoserve_dpor_races_detected_total", "Reversible races DPOR detected on executed runs.", res.Prune.DPORRaces)
+	counter("tsoserve_dpor_backtracks_total", "Branches DPOR race handling added to backtrack sets.", res.Prune.DPORBacktracks)
+	counter("tsoserve_dpor_sleep_skips_total", "Branches skipped by DPOR dependence-derived sleep sets.", res.Prune.DPORSleepSkips)
 	gauge("tsoserve_memo_entries", "Memo-arena entries resident at the end of the most recent slice.", float64(m.memoEntries.Load()))
-	counter("tsoserve_memo_admitted_total", "Memo-arena entries admitted across all slices.", m.memoAdmitted.Load())
-	counter("tsoserve_memo_evicted_total", "Memo-arena entries evicted by the per-stripe FIFO clock.", m.memoEvicted.Load())
-	counter("tsoserve_memo_stripe_contention_total", "Memo stripe-lock acquisitions that found the lock held.", m.memoContended.Load())
+	counter("tsoserve_memo_admitted_total", "Memo-arena entries admitted across all slices.", res.Memo.Admitted)
+	counter("tsoserve_memo_evicted_total", "Memo-arena entries evicted by the per-stripe FIFO clock.", res.Memo.Evicted)
+	counter("tsoserve_memo_stripe_contention_total", "Memo stripe-lock acquisitions that found the lock held.", res.Memo.Contended)
 	counter("tsoserve_slices_total", "Pool tasks executed (plan + explore slices).", m.slices.Load())
 	counter("tsoserve_checkpoint_writes_total", "Durable spool writes.", m.checkpointWrites.Load())
 	gauge("tsoserve_runs_per_second", "Executed schedules per second of uptime.", perSec)

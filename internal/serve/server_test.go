@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/oracle"
+	"repro/internal/tso"
 )
 
 // smallSpec is a quick, clean job (≈50k schedules, a few hundred
@@ -396,5 +398,96 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(text, "tsoserve_runs_executed_total 0\n") {
 		t.Fatal("runs counter never moved")
+	}
+}
+
+// TestMetricsMatchJobResults: the /metrics exploration counters fold the
+// same slices the jobs' results fold, so after a mix of pruned,
+// reorder-bounded, DPOR and violating jobs each counter must equal the
+// sum over the job results. Choice points are the one exception: a
+// result also counts the nodes its plan's splitting probes consumed,
+// which no slice executed.
+func TestMetricsMatchJobResults(t *testing.T) {
+	s, err := NewServer(Config{SpoolDir: t.TempDir(), Workers: 2, SliceRuns: 64, CheckpointInterval: Duration(time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	bounded, dpor := smallSpec(), smallSpec()
+	bounded.MaxReorderings = 1
+	dpor.DPOR = true
+	specs := []JobSpec{smallSpec(), bounded, dpor, violatingSpec()}
+	var ids []string
+	for _, js := range specs {
+		st, err := s.Submit(js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	sum := map[string]int64{}
+	var splitNodes int64
+	for i, id := range ids {
+		st := waitServer(t, s, id, 120*time.Second)
+		r := st.Result
+		if st.State != StateDone || r == nil {
+			t.Fatalf("job %s did not finish: %+v", id, st)
+		}
+		for name, v := range map[string]int64{
+			"tsoserve_runs_executed_total":          int64(r.Executed),
+			"tsoserve_schedules_accounted_total":    int64(r.Schedules),
+			"tsoserve_step_limited_total":           int64(r.StepLimited),
+			"tsoserve_violations_total":             int64(r.Violating),
+			"tsoserve_tree_choice_points_total":     r.Tree.ChoicePoints,
+			"tsoserve_prune_states_seen_total":      r.Prune.StatesSeen,
+			"tsoserve_prune_states_deduped_total":   r.Prune.StatesDeduped,
+			"tsoserve_prune_schedules_saved_total":  r.Prune.SchedulesSaved,
+			"tsoserve_reorder_skips_total":          r.Prune.ReorderSkips,
+			"tsoserve_dpor_races_detected_total":    r.Prune.DPORRaces,
+			"tsoserve_dpor_backtracks_total":        r.Prune.DPORBacktracks,
+			"tsoserve_dpor_sleep_skips_total":       r.Prune.DPORSleepSkips,
+			"tsoserve_memo_admitted_total":          r.Memo.Admitted,
+			"tsoserve_memo_evicted_total":           r.Memo.Evicted,
+			"tsoserve_memo_stripe_contention_total": r.Memo.Contended,
+		} {
+			sum[name] += v
+		}
+		prog, check, err := specs[i].Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := prog.Scenario()
+		mk, _ := sc.Outcomes(check)
+		cp, err := tso.ShardFrontier(sc.Config, mk, tso.ExhaustiveOptions{
+			ExploreOptions: tso.ExploreOptions{MaxStepsPerRun: s.Config().MaxStepsPerRun},
+			Units:          s.Config().ShardUnits,
+			MaxReorderings: specs[i].MaxReorderings,
+			DPOR:           specs[i].DPOR,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		splitNodes += cp.Tree.ChoicePoints
+	}
+	sum["tsoserve_tree_choice_points_total"] -= splitNodes
+	if sum["tsoserve_violations_total"] == 0 || sum["tsoserve_dpor_races_detected_total"] == 0 ||
+		sum["tsoserve_reorder_skips_total"] == 0 || sum["tsoserve_prune_states_deduped_total"] == 0 {
+		t.Fatalf("the job mix left a counter family unexercised: %v", sum)
+	}
+
+	var buf bytes.Buffer
+	s.Metrics().WritePrometheus(&buf)
+	got := map[string]int64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var name string
+		var v int64
+		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil && !strings.HasPrefix(name, "#") {
+			got[name] = v
+		}
+	}
+	for name, want := range sum {
+		if got[name] != want {
+			t.Errorf("%s = %d, want the job results' sum %d", name, got[name], want)
+		}
 	}
 }

@@ -33,8 +33,9 @@ type Record struct {
 	// Checkpoint is the resumable frontier of a queued or running job.
 	// Its counts and units are crash-consistent: units are recorded at
 	// slice-start positions, so re-exploring them after a crash never
-	// double-counts a schedule.
-	Checkpoint *tso.Checkpoint `json:"checkpoint,omitempty"`
+	// double-counts a schedule. It is spooled only in binary form, as
+	// recordWire's checkpoint_bin.
+	Checkpoint *tso.Checkpoint `json:"-"`
 }
 
 // recordWire is the spool file schema. The record envelope stays JSON (it
@@ -42,13 +43,8 @@ type Record struct {
 // running job's record — travels as a base64 blob in the tso.BinaryCodec
 // wire format.
 type recordWire struct {
-	ID            string     `json:"id"`
-	Spec          JobSpec    `json:"spec"`
-	State         JobState   `json:"state"`
-	Budget        int        `json:"budget"`
-	Error         string     `json:"error,omitempty"`
-	Result        *JobResult `json:"result,omitempty"`
-	CheckpointBin []byte     `json:"checkpoint_bin,omitempty"`
+	Record
+	CheckpointBin []byte `json:"checkpoint_bin,omitempty"`
 }
 
 // Store is the spool directory: one JSON file per job, written
@@ -86,14 +82,7 @@ func (s *Store) Put(rec *Record) error {
 	if s.sealed {
 		return nil
 	}
-	wire := recordWire{
-		ID:     rec.ID,
-		Spec:   rec.Spec,
-		State:  rec.State,
-		Budget: rec.Budget,
-		Error:  rec.Error,
-		Result: rec.Result,
-	}
+	wire := recordWire{Record: *rec}
 	if rec.Checkpoint != nil {
 		if err := rec.Checkpoint.Validate(); err != nil {
 			return fmt.Errorf("serve: refusing to spool job %s: %w", rec.ID, err)
@@ -138,22 +127,14 @@ func (s *Store) Get(id string) (*Record, error) {
 	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
 		return nil, fmt.Errorf("serve: decoding job %s: data after the record", id)
 	}
-	rec := Record{
-		ID:     wire.ID,
-		Spec:   wire.Spec,
-		State:  wire.State,
-		Budget: wire.Budget,
-		Error:  wire.Error,
-		Result: wire.Result,
-	}
 	if len(wire.CheckpointBin) > 0 {
 		cp, err := (tso.BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(wire.CheckpointBin))
 		if err != nil {
 			return nil, fmt.Errorf("serve: job %s spooled checkpoint: %w", id, err)
 		}
-		rec.Checkpoint = cp
+		wire.Checkpoint = cp
 	}
-	return &rec, nil
+	return &wire.Record, nil
 }
 
 // List reads every record in the spool, sorted by ID — the restart

@@ -117,6 +117,52 @@ func TestShardSliceResumeMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestSingleUnitResumeLeavesOneOpenUnit pins what a sliced shard's
+// caller relies on: resuming a single-unit checkpoint under MaxRuns
+// reports at most one open unit — exactly one, in a non-nil checkpoint,
+// whenever the slice is incomplete — in every reduction mode and however
+// many workers are offered.
+func TestSingleUnitResumeLeavesOneOpenUnit(t *testing.T) {
+	mk, out := sbProgsShared(false)
+	cfg := Config{Threads: 2, BufferSize: 2}
+	modes := map[string]ExhaustiveOptions{
+		"plain":   {},
+		"prune":   {Prune: true},
+		"reorder": {MaxReorderings: 1},
+		"dpor":    {DPOR: true},
+	}
+	for name, mode := range modes {
+		cp, err := ShardFrontier(cfg, mk, ExhaustiveOptions{Units: 4, MaxReorderings: mode.MaxReorderings, DPOR: mode.DPOR})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, shards := cp.Shards()
+		slices := 0
+		for _, shard := range shards {
+			for cur := shard; ; {
+				opts := mode
+				opts.MaxRuns, opts.Parallel, opts.Resume = 3, 4, cur
+				_, res := ExploreExhaustive(cfg, mk, out, opts)
+				slices++
+				if res.Complete {
+					if res.Checkpoint != nil {
+						t.Fatalf("%s: complete slice returned a checkpoint", name)
+					}
+					break
+				}
+				if res.Checkpoint == nil || len(res.Checkpoint.Units) != 1 {
+					t.Fatalf("%s: incomplete slice left %+v, want one open unit", name, res.Checkpoint)
+				}
+				_, rest := res.Checkpoint.Shards()
+				cur = rest[0]
+			}
+		}
+		if slices <= len(shards) {
+			t.Fatalf("%s: no shard needed a second slice; the budget is too large to test remainders", name)
+		}
+	}
+}
+
 // TestInterruptBeforeStartCheckpointsWholeFrontier: an interrupt that is
 // already receivable stops workers before any schedule executes, so the
 // checkpoint must hand back the entire frontier, and resuming it must
