@@ -184,6 +184,38 @@ func TestWitnessExtraction(t *testing.T) {
 	}
 }
 
+// TestLibraryWitnessesMatchFirstVisits: on every library test the
+// witnesses of a sequential pruned exploration and of a parallel
+// unpruned one are the reference engine's first visits, and Run's
+// condition witness is the first visit that satisfies the condition —
+// the schedule the removed re-exploration used to find.
+func TestLibraryWitnessesMatchFirstVisits(t *testing.T) {
+	for _, src := range Library {
+		tt := mustParse(t, src)
+		cfg, mk, out, err := program(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ref := tso.ExploreOutcomes(cfg, mk, out, tso.ExploreOptions{})
+		if !ref.Complete {
+			t.Fatalf("%s: reference exploration incomplete", tt.Name)
+		}
+		for _, o := range []tso.ExhaustiveOptions{{Prune: true}, {Parallel: 4}} {
+			if _, res := tso.ExploreExhaustive(cfg, mk, out, o); !reflect.DeepEqual(res.Witnesses, ref.Witnesses) {
+				t.Errorf("%s parallel=%d prune=%v: witnesses %v, reference %v", tt.Name, o.Parallel, o.Prune, res.Witnesses, ref.Witnesses)
+			}
+		}
+		res, err := Run(tt, RunOptions{Prune: true, Witness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, ok := ref.FirstWitness(func(o string) bool { return condHolds(tt, o) })
+		if ok != res.Witnessed || !reflect.DeepEqual(res.WitnessChoices, want) {
+			t.Errorf("%s: condition witness %v (witnessed %v), reference %v (%v)", tt.Name, res.WitnessChoices, res.Witnessed, want, ok)
+		}
+	}
+}
+
 func TestNoWitnessChoicesForForbidden(t *testing.T) {
 	tt := mustParse(t, Library[3]) // MP, forbidden
 	res, err := Run(tt, RunOptions{Witness: true})

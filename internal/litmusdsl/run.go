@@ -28,8 +28,8 @@ type Result struct {
 	// unreachable, "unobserved" if not witnessed but exploration was
 	// capped before completing.
 	Verdict string
-	// Witness is the event trace of one schedule reaching the condition
-	// (RunOptions.Witness).
+	// Witness is the event trace of the smallest executed schedule
+	// reaching the condition (RunOptions.Witness).
 	Witness []string
 	// WitnessChoices is that schedule's decision prefix, replayable with
 	// tso.ReplaySchedule (RunOptions.Witness).
@@ -56,8 +56,9 @@ func (r Result) Ok() bool {
 type RunOptions struct {
 	// MaxSchedules caps the exploration (default 2_000_000).
 	MaxSchedules int
-	// Witness, when the condition is reachable, re-explores to the first
-	// witnessing schedule and records its event trace in Result.Witness.
+	// Witness, when the condition is reachable, replays the smallest
+	// witnessing schedule the exploration executed (within MaxReorderings)
+	// and records its event trace in Result.Witness.
 	Witness bool
 	// Parallel is the number of exploration workers (<= 1: sequential).
 	Parallel int
@@ -87,12 +88,9 @@ type RunOptions struct {
 	DPOR bool
 }
 
-// Run explores every schedule of the test on the abstract machine and
-// evaluates the exists condition against each final state.
-func Run(t *Test, opts RunOptions) (Result, error) {
-	if opts.MaxSchedules <= 0 {
-		opts.MaxSchedules = 2_000_000
-	}
+// program lowers t to what Run explores: the machine configuration, the
+// program factory and the outcome renderer.
+func program(t *Test) (tso.Config, func(m *tso.Machine) []func(tso.Context), func(m *tso.Machine) string, error) {
 	// Collect the variables and registers the test mentions.
 	vars := map[string]bool{}
 	for v := range t.Init {
@@ -116,10 +114,10 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 			continue
 		}
 		if c.Proc >= len(t.Procs) {
-			return Result{}, fmt.Errorf("litmusdsl: condition references P%d but test has %d processes", c.Proc, len(t.Procs))
+			return tso.Config{}, nil, nil, fmt.Errorf("litmusdsl: condition references P%d but test has %d processes", c.Proc, len(t.Procs))
 		}
 		if !regsPerProc[c.Proc][c.Reg] {
-			return Result{}, fmt.Errorf("litmusdsl: condition references P%d.%s which is never assigned", c.Proc, c.Reg)
+			return tso.Config{}, nil, nil, fmt.Errorf("litmusdsl: condition references P%d.%s which is never assigned", c.Proc, c.Reg)
 		}
 	}
 	varNames := sortedKeys(vars)
@@ -208,7 +206,19 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 		return s
 	}
 
-	cfg := tso.Config{Threads: len(t.Procs), BufferSize: t.SBuf, Model: t.Model}
+	return tso.Config{Threads: len(t.Procs), BufferSize: t.SBuf, Model: t.Model}, mk, outcome, nil
+}
+
+// Run explores every schedule of the test on the abstract machine and
+// evaluates the exists condition against each final state.
+func Run(t *Test, opts RunOptions) (Result, error) {
+	if opts.MaxSchedules <= 0 {
+		opts.MaxSchedules = 2_000_000
+	}
+	cfg, mk, outcome, err := program(t)
+	if err != nil {
+		return Result{}, err
+	}
 	eopts := tso.ExhaustiveOptions{
 		ExploreOptions: tso.ExploreOptions{MaxRuns: opts.MaxSchedules},
 		Parallel:       opts.Parallel,
@@ -224,13 +234,11 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 	}
 	set, eres := tso.ExploreExhaustive(cfg, mk, outcome, eopts)
 
-	res := Result{Test: t, Complete: eres.Complete, Schedules: set.Total(), Executed: eres.Runs,
+	// Every counted outcome has a witness, so the condition is reached
+	// exactly when some witness satisfies it.
+	_, choices, witnessed := eres.FirstWitness(func(o string) bool { return condHolds(t, o) })
+	res := Result{Test: t, Witnessed: witnessed, Complete: eres.Complete, Schedules: set.Total(), Executed: eres.Runs,
 		Outcomes: set.Counts, MaxOccupancy: set.MaxOccupancy, Tree: eres.Tree, Prune: eres.Prune}
-	for o := range set.Counts {
-		if condHolds(t, o) {
-			res.Witnessed = true
-		}
-	}
 	switch {
 	case res.Witnessed:
 		res.Verdict = "allowed"
@@ -240,28 +248,15 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 		res.Verdict = "unobserved"
 	}
 
-	if res.Witnessed && opts.Witness {
-		// Re-explore deterministically for the first witnessing schedule
-		// (bounded by the exploration that already ran), then replay that
-		// one schedule with a tracer attached.
-		found := false
-		tso.ExploreWithChoices(cfg, mk, tso.ExploreOptions{MaxRuns: opts.MaxSchedules},
-			func(m *tso.Machine, err error, choices []int) bool {
-				found = err == nil && condHolds(t, outcome(m))
-				if found {
-					res.WitnessChoices = append([]int(nil), choices...)
-				}
-				return found
-			})
-		if found {
-			tr := tso.NewRingTracer(4096)
-			tso.ReplaySchedule(cfg, func(m *tso.Machine) []func(tso.Context) {
-				m.SetTracer(tr)
-				return mk(m)
-			}, res.WitnessChoices, nil)
-			for _, e := range tr.Events() {
-				res.Witness = append(res.Witness, e.String())
-			}
+	if witnessed && opts.Witness {
+		res.WitnessChoices = choices
+		tr := tso.NewRingTracer(4096)
+		tso.ReplaySchedule(cfg, func(m *tso.Machine) []func(tso.Context) {
+			m.SetTracer(tr)
+			return mk(m)
+		}, choices, nil)
+		for _, e := range tr.Events() {
+			res.Witness = append(res.Witness, e.String())
 		}
 	}
 	return res, nil

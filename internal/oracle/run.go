@@ -92,11 +92,11 @@ type RunOptions struct {
 	// chaos sampling under seeds 0..SampleRuns-1 — the cheap mode the
 	// fuzzing harness uses.
 	SampleRuns int
-	// Counterexample asks Run to re-explore a violating schedule
-	// sequentially and attach its replayable choices and trace. The
-	// sequential re-exploration is bounded by MaxSchedules (or SampleRuns
-	// seeds in sampling mode), so a counterexample that only pruned or
-	// deep exploration reaches may come back nil even when Violating > 0.
+	// Counterexample asks Run to attach a violating schedule's replayable
+	// choices and trace. Exhaustive mode takes it from the exploration
+	// that produced the verdict (WitnessCounterexample): it respects the
+	// reorder bound and is present whenever Violating > 0. Sampling mode
+	// searches the seeds again and may come back nil even then.
 	Counterexample bool
 }
 
@@ -139,7 +139,7 @@ type Report struct {
 	// StepLimited counts schedules that hit MaxStepsPerRun.
 	StepLimited int
 	// Violating is the number of accounted schedules whose verdict was a
-	// violation (neither "ok" nor "<step-limit>").
+	// violation (IsViolation).
 	Violating int
 	// Counterexample is a replayable violating schedule, when requested
 	// and found; see RunOptions.Counterexample.
@@ -157,17 +157,17 @@ func Run(sc Scenario, opts RunOptions) Report {
 	mk, out := sc.Outcomes(spec)
 
 	rep := Report{Scenario: sc.Name, Spec: spec.Name()}
+	var set tso.OutcomeSet
+	var res tso.ExploreResult
 	if opts.SampleRuns > 0 {
 		c := sc.Config
 		if opts.MaxStepsPerRun > 0 {
 			c.MaxSteps = opts.MaxStepsPerRun
 		}
-		set := tso.SampleOutcomes(c, opts.SampleRuns, mk, out)
-		rep.Outcomes = set.Counts
-		rep.Schedules = set.Total()
+		set = tso.SampleOutcomes(c, opts.SampleRuns, mk, out)
 		rep.Executed = opts.SampleRuns
 	} else {
-		set, res := tso.ExploreExhaustive(sc.Config, mk, out, tso.ExhaustiveOptions{
+		set, res = tso.ExploreExhaustive(sc.Config, mk, out, tso.ExhaustiveOptions{
 			ExploreOptions: tso.ExploreOptions{MaxRuns: opts.MaxSchedules, MaxStepsPerRun: opts.MaxStepsPerRun},
 			Parallel:       opts.Parallel,
 			Prune:          opts.Prune,
@@ -175,33 +175,58 @@ func Run(sc Scenario, opts RunOptions) Report {
 			MaxReorderings: opts.MaxReorderings,
 			DPOR:           opts.DPOR,
 		})
-		rep.Outcomes = set.Counts
-		rep.Schedules = set.Total()
 		rep.Executed = res.Runs
 		rep.Complete = res.Complete
 		rep.StepLimited = res.StepLimited
 	}
+	rep.Outcomes, rep.Schedules = set.Counts, set.Total()
 	for o, n := range rep.Outcomes {
-		if o != "ok" && o != "<step-limit>" {
+		if IsViolation(o) {
 			rep.Violating += n
 		}
 	}
 	if rep.Violating > 0 && opts.Counterexample {
-		rep.Counterexample = FindCounterexample(sc, spec, opts)
+		if opts.SampleRuns > 0 {
+			rep.Counterexample = FindCounterexample(sc, spec, opts)
+		} else {
+			rep.Counterexample = WitnessCounterexample(sc, spec, res, opts.MaxStepsPerRun)
+		}
 	}
 	return rep
+}
+
+// IsViolation reports whether a verdict string names a spec violation:
+// every verdict but "ok" and the engine's tso.StepLimitOutcome.
+func IsViolation(outcome string) bool {
+	return outcome != "ok" && outcome != tso.StepLimitOutcome
 }
 
 // traceWindow is how many machine events a counterexample retains.
 const traceWindow = 4096
 
-// FindCounterexample re-explores the scenario looking for the first
-// schedule that violates spec (nil means Precise) and packages it
-// replayably. The search is sequential and bounded by opts.MaxSchedules
-// (or opts.SampleRuns seeds in sampling mode), so a violation that only
-// pruned or deeper exploration reaches comes back nil. Run calls this
-// when RunOptions.Counterexample is set; the verification service calls
-// it directly to attach a witness to a finished job.
+// WitnessCounterexample packages the smallest violating witness of an
+// exhaustive exploration of sc (res.FirstWitness under IsViolation): one
+// Replay under maxStepsPerRun, the exploration's step bound, yields its
+// violations and trace. Nil when no witnessed verdict is a violation.
+func WitnessCounterexample(sc Scenario, spec Spec, res tso.ExploreResult, maxStepsPerRun int64) *Counterexample {
+	outcome, choices, ok := res.FirstWitness(IsViolation)
+	if !ok {
+		return nil
+	}
+	// The witness completed under this step bound, so its replay does.
+	sc.Config.MaxSteps = maxStepsPerRun
+	viols, trace, _ := Replay(sc, spec, choices)
+	return &Counterexample{Outcome: outcome, Violations: viols, Choices: choices, Seed: -1, Trace: trace}
+}
+
+// FindCounterexample searches the scenario for the first schedule that
+// violates spec (nil means Precise) and packages it replayably: a
+// sequential depth-first search of the unreduced tree, ignoring opts'
+// Prune, DPOR and MaxReorderings, that stops at the first violation
+// within opts.MaxSchedules schedules (or opts.SampleRuns seeds). The
+// early exit finds witnesses on programs whose full exploration would
+// not finish (corpus regeneration) and times the search alone (the
+// benchmark's probe); Run uses it only in sampling mode.
 func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample {
 	if spec == nil {
 		spec = Precise{}

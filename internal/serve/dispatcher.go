@@ -68,7 +68,6 @@ type job struct {
 	outstanding map[int]*tso.Checkpoint // single-unit shards (Checkpoint.Shards)
 	nextUnit    int
 	budget      int // remaining executed-schedule budget (prepaid per slice)
-	budgetTotal int
 	executed    int
 	inFlight    int // pool tasks queued or running for this job
 	dirty       bool
@@ -130,7 +129,6 @@ func (s *Server) newJob(id string, spec JobSpec) (*job, error) {
 		fold:        tso.NewFold(sc.Config.Threads),
 		outstanding: map[int]*tso.Checkpoint{},
 		budget:      budget,
-		budgetTotal: budget,
 	}, nil
 }
 
@@ -209,23 +207,18 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// statusLocked snapshots a job (mu held). The result is copied because
-// the witness task mutates it under mu while callers marshal the status
-// outside it.
+// statusLocked snapshots a job (mu held). The result is shared: nothing
+// mutates it once finalize has sealed it.
 func (s *Server) statusLocked(j *job) JobStatus {
-	st := JobStatus{
+	return JobStatus{
 		ID:               j.id,
 		State:            j.state,
 		Spec:             j.spec,
 		Executed:         j.executed,
 		OutstandingUnits: len(j.outstanding),
 		Error:            j.errMsg,
+		Result:           j.result,
 	}
-	if j.result != nil {
-		r := *j.result
-		st.Result = &r
-	}
-	return st
 }
 
 // recordLocked builds a job's durable record, including — for jobs with
@@ -238,10 +231,7 @@ func (s *Server) recordLocked(j *job) *Record {
 		State:  j.state,
 		Budget: j.budget,
 		Error:  j.errMsg,
-	}
-	if j.result != nil {
-		r := *j.result
-		rec.Result = &r
+		Result: j.result,
 	}
 	if j.state == StateRunning {
 		units := make([]tso.UnitCheckpoint, 0, len(j.outstanding))
@@ -472,14 +462,13 @@ func (s *Server) taskDone(id string, o runner.Outcome) {
 	}
 }
 
-// finalizeLocked seals a job's result from its fold and, for violating
-// jobs, queues the witness search (mu held). Returns the record to spool
-// when the job reached its terminal state here, nil when the witness
-// task will finish it.
+// finalizeLocked seals a job's result from its fold, with the smallest
+// violating witness its slices executed replayed once for its trace, and
+// moves the job to the done state. Returns the record to spool (mu held).
 func (s *Server) finalizeLocked(j *job) *Record {
 	complete := len(j.outstanding) == 0
 	set, res := j.fold.Result(complete)
-	result := &JobResult{
+	j.result = &JobResult{
 		Outcomes:     set.Counts,
 		Schedules:    set.Total(),
 		Executed:     res.Runs,
@@ -491,81 +480,13 @@ func (s *Server) finalizeLocked(j *job) *Record {
 		Memo:         res.Memo,
 		Violating:    violating(set.Counts),
 	}
-	j.result = result
-	if result.Violating > 0 {
-		if s.enqueueWitnessLocked(j) {
-			return nil // the witness task completes the job
-		}
+	if ce := oracle.WitnessCounterexample(j.sc, j.check, res, s.cfg.MaxStepsPerRun); ce != nil {
+		j.result.Witness = &Witness{Outcome: ce.Outcome, Choices: ce.Choices, Trace: ce.Trace}
 	}
-	return s.completeLocked(j)
-}
-
-// completeLocked moves a job with a sealed result to the done state and
-// returns the record to spool (mu held).
-func (s *Server) completeLocked(j *job) *Record {
 	j.state = StateDone
 	s.metrics.jobsCompleted.Add(1)
 	s.metrics.jobsActive.Add(-1)
 	return s.recordLocked(j)
-}
-
-// enqueueWitnessLocked queues the sequential counterexample search for a
-// violating job (mu held). Reports whether the task was accepted.
-func (s *Server) enqueueWitnessLocked(j *job) bool {
-	id := j.id
-	err := s.pool.Go(runner.Job{
-		Name: id + "/witness",
-		Fn:   func(ctx context.Context) (any, error) { return nil, s.witness(ctx, id) },
-	}, func(o runner.Outcome) { s.witnessDone(id, o) })
-	if err == nil {
-		j.inFlight++
-	}
-	return err == nil
-}
-
-// witness re-explores the job's program sequentially for the first
-// violating schedule and attaches it replayably.
-func (s *Server) witness(ctx context.Context, id string) error {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.result == nil {
-		s.mu.Unlock()
-		return nil
-	}
-	sc, check, budget := j.sc, j.check, j.budgetTotal
-	s.mu.Unlock()
-	if ctx.Err() != nil {
-		return nil
-	}
-	ce := oracle.FindCounterexample(sc, check, oracle.RunOptions{
-		MaxSchedules:   budget,
-		MaxStepsPerRun: s.cfg.MaxStepsPerRun,
-	})
-	s.mu.Lock()
-	if ce != nil && j.result != nil {
-		j.result.Witness = &Witness{Outcome: ce.Outcome, Choices: ce.Choices, Trace: ce.Trace}
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// witnessDone completes a job after its witness search.
-func (s *Server) witnessDone(id string, o runner.Outcome) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	j.inFlight--
-	var rec *Record
-	if j.state == StateRunning {
-		rec = s.completeLocked(j)
-	}
-	s.mu.Unlock()
-	if rec != nil {
-		s.put(rec)
-	}
 }
 
 // ticker periodically spools every dirty running job's frontier.

@@ -157,7 +157,8 @@ func (js JobSpec) Compile() (oracle.Program, oracle.Spec, error) {
 // Witness is a replayable counterexample attached to a violating job:
 // the verdict, the schedule's decision choices (tso.ReplaySchedule
 // format, the same one corpus entries store), and a machine-level trace
-// window.
+// window. It comes from the exploration that produced the verdict
+// (oracle.WitnessCounterexample), not from a second search.
 type Witness struct {
 	// Outcome is the canonical verdict string the schedule produced.
 	Outcome string `json:"outcome"`
@@ -186,7 +187,7 @@ type JobResult struct {
 	// means the budget ran out first.
 	Complete bool `json:"complete"`
 	// Violating is the number of accounted schedules whose verdict was a
-	// violation (neither "ok" nor "<step-limit>").
+	// violation (oracle.IsViolation).
 	Violating int `json:"violating"`
 	// MaxOccupancy is the per-thread store-buffer high-water mark over
 	// every explored schedule — the observed reordering-bound witness.
@@ -198,17 +199,19 @@ type JobResult struct {
 	// Memo reports the striped memo arena's saturation and contention,
 	// summed across the job's slices.
 	Memo tso.MemoStats `json:"memo"`
-	// Witness is a replayable violating schedule, when one was found
-	// within the budget; nil for clean jobs.
+	// Witness is the smallest violating schedule the job's slices
+	// executed, so it lies within the job's reorder bound; present
+	// exactly when Violating > 0, and unchanged by a restart. Under DPOR
+	// it can differ from the one an unreduced exploration would pick.
 	Witness *Witness `json:"witness,omitempty"`
 }
 
-// violating sums the verdict counts that are violations: every verdict
-// but "ok" and "<step-limit>".
+// violating sums the verdict counts that are violations
+// (oracle.IsViolation).
 func violating(counts map[string]int) int {
 	n := 0
 	for o, c := range counts {
-		if o != "ok" && o != "<step-limit>" {
+		if oracle.IsViolation(o) {
 			n += c
 		}
 	}

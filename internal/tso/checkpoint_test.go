@@ -16,6 +16,7 @@ func validCheckpoint() *Checkpoint {
 		Runs:         7,
 		StepLimited:  1,
 		Counts:       map[string]int{"r0=0 r1=0": 3},
+		Witnesses:    map[string][]int{"r0=0 r1=0": {0, 2, 1}},
 		MaxOccupancy: []int{2, 1},
 		Units: []UnitCheckpoint{
 			{Root: []int{1}, RootFanout: []int{2}},
@@ -56,6 +57,9 @@ func TestCheckpointValidateRejects(t *testing.T) {
 		{"negative-runs", func(cp *Checkpoint) { cp.Runs = -1 }, "negative run count"},
 		{"negative-step-limited", func(cp *Checkpoint) { cp.StepLimited = -3 }, "step-limited"},
 		{"negative-count", func(cp *Checkpoint) { cp.Counts["r0=0 r1=0"] = -2 }, "counts outcome"},
+		{"missing-witness", func(cp *Checkpoint) { delete(cp.Witnesses, "r0=0 r1=0") }, "without a witness"},
+		{"extra-witness", func(cp *Checkpoint) { cp.Witnesses["r0=1 r1=1"] = []int{1} }, "witnesses for"},
+		{"negative-witness-choice", func(cp *Checkpoint) { cp.Witnesses["r0=0 r1=0"][1] = -1 }, "negative choice"},
 		{"occupancy-length", func(cp *Checkpoint) { cp.MaxOccupancy = []int{1} }, "occupancy"},
 		{"root-fanout-length", func(cp *Checkpoint) { cp.Units[0].RootFanout = nil }, "unit 0"},
 		{"root-choice-range", func(cp *Checkpoint) { cp.Units[0].Root[0] = 2 }, "outside fanout"},
@@ -70,6 +74,9 @@ func TestCheckpointValidateRejects(t *testing.T) {
 		{"prefix-choice-range", func(cp *Checkpoint) { cp.Units[1].Prefix[1] = 3 }, "outside fanout"},
 		{"done-masks-without-dpor", func(cp *Checkpoint) { cp.Units[1].Done = []uint64{1} }, "done-masks"},
 	}
+	// The wire cannot carry these: every encoded outcome row has exactly
+	// one witness.
+	memOnly := map[string]bool{"missing-witness": true, "extra-witness": true}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := validCheckpoint()
@@ -80,6 +87,9 @@ func TestCheckpointValidateRejects(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("mutation %q: error %q does not mention %q", tc.name, err, tc.want)
+			}
+			if memOnly[tc.name] {
+				return
 			}
 			// The same malformed checkpoint must be refused at the decode
 			// boundary, where spool files and wire payloads enter.

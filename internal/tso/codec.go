@@ -22,7 +22,7 @@ import (
 // any stream whose version byte differs from binVersion.
 var binMagic = [5]byte{'T', 'S', 'O', 'F', binVersion}
 
-const binVersion = 3
+const binVersion = 4
 
 // ErrCodecVersion is the sentinel DecodeCheckpoint wraps when a
 // checkpoint carries the TSOF tag but a wire version this build does
@@ -47,10 +47,10 @@ const (
 // every checkpoint field in a fixed order, integers as signed varints
 // (signed so even structurally invalid values round-trip to Validate
 // instead of corrupting silently), strings length-prefixed, and the
-// outcome table written as one sorted (string, count) run so equal
-// checkpoints encode byte-identically. Both directions stream: encode
-// never builds the whole wire image in memory, decode never slurps the
-// reader.
+// outcome table written as one sorted run of (outcome, count, witness
+// choices) rows so equal checkpoints encode byte-identically. Both
+// directions stream: encode never builds the whole wire image in memory,
+// decode never slurps the reader.
 type BinaryCodec struct{}
 
 // binWriter is the encoder's streaming state: a buffered writer, a
@@ -147,6 +147,7 @@ func (BinaryCodec) EncodeCheckpoint(w io.Writer, cp *Checkpoint) error {
 	for _, k := range keys {
 		bw.str(k)
 		bw.vint(int64(cp.Counts[k]))
+		bw.ints(cp.Witnesses[k])
 	}
 	bw.ints(cp.MaxOccupancy)
 	bw.uvint(uint64(len(cp.Units)))
@@ -299,9 +300,11 @@ func (BinaryCodec) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	cp.Prune.DPORSleepSkips = b.vint()
 	nCounts := b.length(binMaxSlice)
 	cp.Counts = make(map[string]int, min(nCounts, binPrealloc))
+	cp.Witnesses = make(map[string][]int, min(nCounts, binPrealloc))
 	for i := 0; i < nCounts && b.err == nil; i++ {
 		k := b.str()
 		cp.Counts[k] = int(b.vint())
+		cp.Witnesses[k] = b.ints()
 	}
 	cp.MaxOccupancy = b.ints()
 	if cp.MaxOccupancy == nil {

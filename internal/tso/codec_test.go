@@ -14,7 +14,8 @@ import (
 
 // richCheckpoint returns a checkpoint exercising every codec field:
 // non-zero statistics, a label, a reorder bound, multi-unit frontiers
-// with partial prefixes, and outcome strings with spaces and '='.
+// with partial prefixes, outcome strings with spaces and '=', and their
+// witnesses.
 func richCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Threads:      3,
@@ -26,6 +27,7 @@ func richCheckpoint() *Checkpoint {
 		Runs:         1234,
 		StepLimited:  5,
 		Counts:       map[string]int{"r0=0 r1=0": 3, "r0=1 r1=1": 900, "flag=1 data=0": 7},
+		Witnesses:    map[string][]int{"r0=0 r1=0": {0, 1, 1, 0}, "r0=1 r1=1": {0, 0, 0, 0}, "flag=1 data=0": {2, 0, 130, 1}},
 		MaxOccupancy: []int{2, 4, 0},
 		Tree:         TreeStats{MaxDepth: 17, MaxFanout: 6, ChoicePoints: 4242},
 		Prune: PruneStats{
@@ -285,6 +287,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	stripped := *res.Checkpoint
 	stripped.DPOR = false
 	seeds = append(seeds, &stripped)
+	// A mid-flight bounded Prune frontier carries the witnesses of the
+	// schedules it executed.
+	_, res = ExploreExhaustive(Config{Threads: 2, BufferSize: 2}, mk, out,
+		ExhaustiveOptions{ExploreOptions: ExploreOptions{MaxRuns: 20}, Prune: true, MaxReorderings: 1, Units: 4})
+	if res.Checkpoint == nil || len(res.Checkpoint.Witnesses) == 0 {
+		f.Fatal("expected a mid-flight checkpoint with witnesses")
+	}
+	seeds = append(seeds, res.Checkpoint)
 	for _, o := range []ExhaustiveOptions{
 		{Units: 4},
 		{Units: 8, Label: "sb", MaxReorderings: 1},

@@ -472,18 +472,21 @@ func TestResumeMutationMatrix(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecRefusesOldVersions: wire v3 is the only checkpoint
+// TestBinaryCodecRefusesOldVersions: wire v4 is the only checkpoint
 // format. Streams in the v1 layout (no DPOR fields) and the v2 layout
 // (DPOR fields, done masks) both carried a per-checkpoint version varint
-// after the header; each must be refused by its header byte with
+// after the header; the v3 layout dropped it but wrote outcome rows
+// without witnesses. Each must be refused by its header byte with
 // ErrCodecVersion rather than misparsed, and so must a current stream
-// relabeled with either old byte.
+// relabeled with any old byte.
 func TestBinaryCodecRefusesOldVersions(t *testing.T) {
-	mk, _ := sbProgsShared(false)
+	mk, out := sbProgsShared(false)
 	cfg := Config{Threads: 2, BufferSize: 2}
-	cp, err := ShardFrontier(cfg, mk, ExhaustiveOptions{Units: 4})
-	if err != nil {
-		t.Fatalf("ShardFrontier: %v", err)
+	// A budgeted exploration, so the outcome table has rows to write.
+	_, res := ExploreExhaustive(cfg, mk, out, ExhaustiveOptions{ExploreOptions: ExploreOptions{MaxRuns: 5}, Units: 4})
+	cp := res.Checkpoint
+	if cp == nil || len(cp.Counts) == 0 {
+		t.Fatalf("budgeted exploration left no progress to encode: %+v", cp)
 	}
 	var cur bytes.Buffer
 	if err := (BinaryCodec{}).EncodeCheckpoint(&cur, cp); err != nil {
@@ -494,7 +497,9 @@ func TestBinaryCodecRefusesOldVersions(t *testing.T) {
 		var out bytes.Buffer
 		out.Write([]byte{'T', 'S', 'O', 'F', ver})
 		bw := &binWriter{w: bufio.NewWriter(&out)}
-		bw.vint(1) // the retired Checkpoint.Version field
+		if ver < 3 {
+			bw.vint(1) // the retired Checkpoint.Version field
+		}
 		bw.vint(int64(cp.Threads))
 		bw.vint(int64(cp.BufferSize))
 		bw.str(cp.Model)
@@ -520,7 +525,11 @@ func TestBinaryCodecRefusesOldVersions(t *testing.T) {
 			bw.vint(cp.Prune.DPORBacktracks)
 			bw.vint(cp.Prune.DPORSleepSkips)
 		}
-		bw.uvint(0) // counts: empty map
+		bw.uvint(uint64(len(cp.Counts)))
+		for k, n := range cp.Counts {
+			bw.str(k)
+			bw.vint(int64(n)) // no witness: rows gained one in v4
+		}
 		bw.ints(cp.MaxOccupancy)
 		bw.uvint(uint64(len(cp.Units)))
 		for _, u := range cp.Units {
@@ -551,8 +560,10 @@ func TestBinaryCodecRefusesOldVersions(t *testing.T) {
 	}{
 		{"v1-layout", legacy(1)},
 		{"v2-layout", legacy(2)},
-		{"v3-relabeled-1", relabel(1)},
-		{"v3-relabeled-2", relabel(2)},
+		{"v3-layout", legacy(3)},
+		{"v4-relabeled-1", relabel(1)},
+		{"v4-relabeled-2", relabel(2)},
+		{"v4-relabeled-3", relabel(3)},
 	} {
 		got, err := (BinaryCodec{}).DecodeCheckpoint(bytes.NewReader(tc.raw))
 		if !errors.Is(err, ErrCodecVersion) || got != nil {

@@ -3,14 +3,15 @@ package tso
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // This file implements exhaustive schedule exploration ("stateless model
 // checking") over the abstract TSO[S] machine: every interleaving of
 // thread actions and store-buffer drains of a small program is enumerated
 // by depth-first search over the machine's decision tree. Where the chaos
-// engine samples schedules randomly, Explore *proves* properties of small
-// litmus programs — e.g. that the store-buffering outcome r0=r1=0 is
+// engine samples schedules randomly, exploration *proves* properties of
+// small litmus programs — e.g. that the store-buffering outcome r0=r1=0 is
 // reachable without fences and unreachable with them, or that FF-CL's
 // thief aborts in every schedule of the laws-of-order state ρ.
 //
@@ -18,13 +19,13 @@ import (
 // the program from scratch, following a recorded prefix of choices and
 // taking the first branch afterwards; when a run completes, the deepest
 // choice with untried branches is advanced. Programs must therefore be
-// replayable — the factory passed to Explore is invoked once per run and
-// must rebuild all captured state.
+// replayable — the factory passed to the explorer is invoked once per run
+// and must rebuild all captured state.
 
 // ExploreOptions bounds an exploration.
 type ExploreOptions struct {
 	// MaxRuns caps the number of schedules (default 1 << 20). If the tree
-	// is larger, Explore returns Complete=false.
+	// is larger, the exploration returns Complete=false.
 	MaxRuns int
 	// MaxStepsPerRun bounds each schedule (default 100_000) so that
 	// blocking programs (e.g. a lone THEP thief) terminate each run with
@@ -145,6 +146,35 @@ type ExploreResult struct {
 	// ExhaustiveOptions.Resume to continue. Nil when Complete, and always
 	// nil for the sequential reference engine.
 	Checkpoint *Checkpoint
+	// Witnesses maps every counted outcome to the lexicographically
+	// smallest executed schedule with that outcome, in ReplaySchedule
+	// format. Without DPOR or SleepSets that is the outcome's first
+	// schedule in depth-first order, except under parallel Prune, where,
+	// like Runs, it depends on timing.
+	Witnesses map[string][]int
+}
+
+// StepLimitOutcome is the outcome every engine buckets a schedule under
+// when it hits the per-run step limit.
+const StepLimitOutcome = "<step-limit>"
+
+// FirstWitness returns the smallest witness among the outcomes match
+// accepts, and its outcome; ok is false when none matches.
+func (r ExploreResult) FirstWitness(match func(outcome string) bool) (outcome string, choices []int, ok bool) {
+	for o, w := range r.Witnesses {
+		if match(o) && (!ok || slices.Compare(w, choices) < 0) {
+			outcome, choices, ok = o, w, true
+		}
+	}
+	return outcome, choices, ok
+}
+
+// keepWitness records choices as outcome's witness in ws when it is the
+// smallest seen so far, copying it only then.
+func keepWitness(ws map[string][]int, outcome string, choices []int) {
+	if w, ok := ws[outcome]; !ok || slices.Compare(choices, w) < 0 {
+		ws[outcome] = slices.Clone(choices)
+	}
 }
 
 // ExploreWithChoices is the sequential reference engine: it enumerates
@@ -292,11 +322,12 @@ type OutcomeSet struct {
 }
 
 // ExploreOutcomes runs ExploreWithChoices and buckets each run by the
-// string outcome returns. It panics on program panics, since a litmus
-// program must not fail.
+// string outcome returns, each outcome's first schedule its witness. It
+// panics on program panics, since a litmus program must not fail.
 func ExploreOutcomes(cfg Config, mkProgs func(m *Machine) []func(Context), outcome func(m *Machine) string, opts ExploreOptions) (OutcomeSet, ExploreResult) {
 	set := OutcomeSet{Counts: map[string]int{}, MaxOccupancy: make([]int, cfg.Threads)}
-	res := ExploreWithChoices(cfg, mkProgs, opts, func(m *Machine, err error, _ []int) bool {
+	ws := map[string][]int{}
+	res := ExploreWithChoices(cfg, mkProgs, opts, func(m *Machine, err error, choices []int) bool {
 		for tid := range set.MaxOccupancy {
 			if occ := m.ThreadMaxOccupancy(tid); occ > set.MaxOccupancy[tid] {
 				set.MaxOccupancy[tid] = occ
@@ -305,13 +336,15 @@ func ExploreOutcomes(cfg Config, mkProgs func(m *Machine) []func(Context), outco
 		if err != nil && !errors.Is(err, ErrStepLimit) {
 			panic(fmt.Sprintf("tso: litmus program failed: %v", err))
 		}
-		if err != nil {
-			set.Counts["<step-limit>"]++
-		} else {
-			set.Counts[outcome(m)]++
+		o := StepLimitOutcome
+		if err == nil {
+			o = outcome(m)
 		}
+		set.Counts[o]++
+		keepWitness(ws, o, choices)
 		return false
 	})
+	res.Witnesses = ws
 	return set, res
 }
 
@@ -334,7 +367,7 @@ func (s OutcomeSet) Total() int {
 // 0..runs-1) and buckets each run by its string outcome, so commands can
 // switch between sampling and exhaustive exploration without maintaining
 // two code paths. Like ExploreOutcomes it panics on a program failure and
-// buckets step-limited runs under "<step-limit>".
+// buckets step-limited runs under StepLimitOutcome.
 func SampleOutcomes(cfg Config, runs int, mkProgs func(m *Machine) []func(Context), outcome func(m *Machine) string) OutcomeSet {
 	set := OutcomeSet{Counts: map[string]int{}, MaxOccupancy: make([]int, cfg.Threads)}
 	if runs > 0 {
@@ -353,7 +386,7 @@ func SampleOutcomes(cfg Config, runs int, mkProgs func(m *Machine) []func(Contex
 			}
 			switch {
 			case errors.Is(err, ErrStepLimit):
-				set.Counts["<step-limit>"]++
+				set.Counts[StepLimitOutcome]++
 			case err != nil:
 				panic(fmt.Sprintf("tso: sampled program failed: %v", err))
 			default:

@@ -11,6 +11,7 @@ package tso
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -43,7 +44,10 @@ type Checkpoint struct {
 	MaxOccupancy []int
 	Tree         TreeStats
 	Prune        PruneStats
-	Units        []UnitCheckpoint
+	// Witnesses is ExploreResult.Witnesses so far: a resumed exploration
+	// keeps the witnesses found before the checkpoint.
+	Witnesses map[string][]int
+	Units     []UnitCheckpoint
 }
 
 // UnitCheckpoint is the resumable position of one work unit: the unit's
@@ -64,7 +68,8 @@ type UnitCheckpoint struct {
 
 // Validate checks the checkpoint's structural integrity independent of
 // any machine configuration: a known memory-model string, non-negative
-// progress counters, per-unit choice prefixes whose recorded fanouts are
+// progress counters, exactly one witness without negative choices per
+// counted outcome, per-unit choice prefixes whose recorded fanouts are
 // consistent (every choice within its fanout, resume paths extending
 // their unit root), and done-masks only on DPOR checkpoints. It does not
 // check that the checkpoint matches a particular Config — resume does
@@ -91,9 +96,18 @@ func (cp *Checkpoint) Validate() error {
 		return fmt.Errorf("tso: checkpoint has negative step-limited count %d", cp.StepLimited)
 	}
 	for o, n := range cp.Counts {
-		if n < 0 {
+		w, ok := cp.Witnesses[o]
+		switch {
+		case n < 0:
 			return fmt.Errorf("tso: checkpoint counts outcome %q %d times", o, n)
+		case !ok:
+			return fmt.Errorf("tso: checkpoint counts outcome %q without a witness", o)
+		case slices.ContainsFunc(w, func(b int) bool { return b < 0 }):
+			return fmt.Errorf("tso: checkpoint witness of outcome %q has a negative choice", o)
 		}
+	}
+	if len(cp.Witnesses) != len(cp.Counts) {
+		return fmt.Errorf("tso: checkpoint has %d witnesses for %d counted outcomes", len(cp.Witnesses), len(cp.Counts))
 	}
 	if len(cp.MaxOccupancy) != cp.Threads {
 		return fmt.Errorf("tso: checkpoint records occupancy for %d threads, config says %d", len(cp.MaxOccupancy), cp.Threads)
@@ -253,7 +267,7 @@ func (cp *Checkpoint) validate(c Config) error {
 // with Prune set the outcome counts are still byte-identical while Runs —
 // the schedules actually executed — shrinks by the memoized subtrees. Like
 // ExploreOutcomes it panics on a program failure, and buckets step-limited
-// schedules under "<step-limit>".
+// schedules under StepLimitOutcome.
 //
 // Every exploration resumes a checkpoint: opts.Resume when set, otherwise
 // the zero-progress frontier ShardFrontier would return. Its progress and
@@ -295,6 +309,7 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 		u := &mcUnit{
 			root:    append([]int(nil), uc.Root...),
 			rootFan: append([]int(nil), uc.RootFanout...),
+			res:     ExploreResult{Witnesses: map[string][]int{}},
 		}
 		if len(uc.Prefix) > 0 {
 			u.prefix = append([]int(nil), uc.Prefix...)
@@ -428,17 +443,15 @@ func (e *mcEngine) probeFanout(m *Machine, root, rootFan []int) int {
 // reported tree statistics whole.
 func (e *mcEngine) frontier() *Checkpoint {
 	c := e.cfg
-	cp := &Checkpoint{
-		Threads:      c.Threads,
-		BufferSize:   c.BufferSize,
-		Model:        c.Model.String(),
-		DrainBuffer:  c.DrainBuffer,
-		Label:        e.opts.Label,
-		Reorder:      max(e.bound, 0),
-		DPOR:         e.opts.DPOR,
-		Counts:       map[string]int{},
-		MaxOccupancy: make([]int, c.Threads),
-	}
+	cp := (&Checkpoint{
+		Threads:     c.Threads,
+		BufferSize:  c.BufferSize,
+		Model:       c.Model.String(),
+		DrainBuffer: c.DrainBuffer,
+		Label:       e.opts.Label,
+		Reorder:     max(e.bound, 0),
+		DPOR:        e.opts.DPOR,
+	}).empty()
 	type pend struct{ root, fan []int }
 	// A defensive ceiling: past this depth a chain is cheaper to explore
 	// than to keep probing.

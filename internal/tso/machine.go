@@ -15,8 +15,9 @@ import (
 //   - the chaos policy (NewMachine) explores thread interleavings and
 //     store-buffer drain schedules under a seeded RNG — the full
 //     nondeterminism of the §2 abstract machine, driven adversarially;
-//   - the chooser policy (installed by Explore) enumerates the decision
-//     tree deterministically for exhaustive schedule exploration;
+//   - the chooser policy (installed by the exploration engines and
+//     ReplaySchedule) enumerates the decision tree deterministically for
+//     exhaustive schedule exploration;
 //   - the timed policy (NewTimedMachine) runs a min-virtual-clock
 //     discrete-event simulation with pipelined drains (§7.1 cost model).
 //

@@ -54,7 +54,7 @@ package tso
 // the thread's full request/response history: a replay-deterministic
 // program is a deterministic function of the responses it received, so
 // equal histories imply equal future behaviour. This is exactly the
-// replay-determinism contract Explore already imposes.
+// replay-determinism contract every exploration already imposes.
 
 import (
 	"cmp"
@@ -857,8 +857,10 @@ func (r *mcRunner) choose(acts []action) int {
 }
 
 // runOne executes one schedule on the runner's reused machine and
-// accounts it in the deepest frame: a leaf, or — when the run was
-// abandoned at a memoized (or fully slept) node — that node's credit.
+// accounts it in the deepest frame: a leaf, which may become its
+// outcome's witness, or — when the run was abandoned at a memoized (or
+// fully slept) node — that node's credit. A credit adds no witness: the
+// schedule it stands for ran earlier, where its outcome was recorded.
 // Either way the unit's prefix ends at the node the run stopped at.
 func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 	r.u = u
@@ -927,7 +929,7 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 	switch {
 	case errors.Is(err, ErrStepLimit):
 		stepLimited = true
-		o = "<step-limit>"
+		o = StepLimitOutcome
 	case err != nil:
 		panic(fmt.Sprintf("tso: litmus program failed: %v", err))
 	default:
@@ -953,6 +955,7 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 	}
 	r.hw = machineHWInto(m, r.hw)
 	acc.addLeaf(o, r.hw, stepLimited)
+	keepWitness(u.res.Witnesses, o, u.prefix[:r.depth])
 }
 
 // advance marks the retreating branch done (DPOR frames), then moves the

@@ -71,7 +71,9 @@ func mpProgsShared() (func(m *Machine) []func(Context), func(m *Machine) string)
 // TestExhaustiveMatchesSequential is the engine-equivalence bar: for every
 // litmus/config pair, every combination of parallelism and dedup pruning
 // must reproduce the sequential reference engine's outcome counts,
-// completeness, and occupancy high-water marks byte-identically.
+// completeness, and occupancy high-water marks byte-identically — and,
+// except under parallel pruning, whose memo hits depend on timing, its
+// witnesses: each outcome's first schedule in depth-first order.
 func TestExhaustiveMatchesSequential(t *testing.T) {
 	sbMk, sbOut := sbProgsShared(false)
 	sbfMk, sbfOut := sbProgsShared(true)
@@ -116,6 +118,9 @@ func TestExhaustiveMatchesSequential(t *testing.T) {
 			if set.Total() != wantRes.Runs {
 				t.Errorf("%s/%s: accounted %d schedules, reference enumerated %d",
 					tc.name, v.name, set.Total(), wantRes.Runs)
+			}
+			if v.name != "par+prune" && !reflect.DeepEqual(res.Witnesses, wantRes.Witnesses) {
+				t.Errorf("%s/%s: witnesses %v, reference %v", tc.name, v.name, res.Witnesses, wantRes.Witnesses)
 			}
 		}
 	}

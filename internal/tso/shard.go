@@ -10,11 +10,7 @@ package tso
 // primary consumer: its dispatcher ships shards to a worker pool and
 // folds the slices as they complete.
 
-import (
-	"maps"
-	"slices"
-	"sync"
-)
+import "sync"
 
 // ShardFrontier partitions the decision tree of the program built by
 // mkProgs into up to opts.Units choice-prefix work units by breadth-first
@@ -54,27 +50,31 @@ func (cp *Checkpoint) empty() *Checkpoint {
 		Reorder:      cp.Reorder,
 		DPOR:         cp.DPOR,
 		Counts:       map[string]int{},
+		Witnesses:    map[string][]int{},
 		MaxOccupancy: make([]int, cp.Threads),
 	}
 }
 
-// add merges one piece of progress into cp: counts and run tallies sum,
-// occupancy high-water marks max, and the tree/prune statistics merge.
-// Every merge is commutative, so the total is independent of the order
-// pieces arrive in.
-func (cp *Checkpoint) add(counts map[string]int, occ []int, runs, stepLimited int, tree TreeStats, prune PruneStats) {
-	for k, v := range counts {
+// add merges o's progress, not its units, into cp: counts and run tallies
+// sum, witnesses keep the smaller schedule (copied), occupancy high-water
+// marks max, and tree/prune statistics merge. Every merge is commutative,
+// so the total is independent of the order pieces arrive in.
+func (cp *Checkpoint) add(o *Checkpoint) {
+	for k, v := range o.Counts {
 		cp.Counts[k] += v
 	}
-	for i, v := range occ {
+	for k, w := range o.Witnesses {
+		keepWitness(cp.Witnesses, k, w)
+	}
+	for i, v := range o.MaxOccupancy {
 		if i < len(cp.MaxOccupancy) && v > cp.MaxOccupancy[i] {
 			cp.MaxOccupancy[i] = v
 		}
 	}
-	cp.Runs += runs
-	cp.StepLimited += stepLimited
-	cp.Tree.merge(tree)
-	cp.Prune.merge(prune)
+	cp.Runs += o.Runs
+	cp.StepLimited += o.StepLimited
+	cp.Tree.merge(o.Tree)
+	cp.Prune.merge(o.Prune)
 }
 
 // cloneUnit deep-copies a unit checkpoint so shards share no slices.
@@ -88,17 +88,17 @@ func cloneUnit(u UnitCheckpoint) UnitCheckpoint {
 	}
 }
 
-// Shards decomposes the checkpoint into its accumulated base — counts and
-// statistics, no units — plus one single-unit checkpoint per unexplored
-// work unit: the distributable form of the frontier. Each shard is a
-// complete, independently resumable checkpoint with zero accumulated
-// progress, so exploring it yields exactly that unit's delta; folding the
-// base and every shard's result with a Fold reproduces the undivided
-// exploration's counts. The returned checkpoints share no mutable state
-// with cp or each other.
+// Shards decomposes the checkpoint into its accumulated base — counts,
+// witnesses and statistics, no units — plus one single-unit checkpoint
+// per unexplored work unit: the distributable form of the frontier. Each
+// shard is a complete, independently resumable checkpoint with zero
+// accumulated progress, so exploring it yields exactly that unit's delta;
+// folding the base and every shard's result with a Fold reproduces the
+// undivided exploration's counts. The returned checkpoints share no
+// mutable state with cp or each other.
 func (cp *Checkpoint) Shards() (base *Checkpoint, shards []*Checkpoint) {
 	base = cp.empty()
-	base.add(cp.Counts, cp.MaxOccupancy, cp.Runs, cp.StepLimited, cp.Tree, cp.Prune)
+	base.add(cp)
 	for _, u := range cp.Units {
 		shard := cp.empty()
 		shard.Units = []UnitCheckpoint{cloneUnit(u)}
@@ -128,15 +128,15 @@ func NewFold(threads int) *Fold {
 	return &Fold{acc: (&Checkpoint{Threads: threads}).empty()}
 }
 
-// AddBase folds the accumulated progress of a checkpoint — counts, run
-// tallies, occupancy, tree/prune statistics — ignoring its units. Call it
-// once with the base of Checkpoint.Shards (or a resumed spool snapshot)
-// before folding shard results. The base's phase label, reorder bound
-// and DPOR mode carry into every checkpoint the fold writes.
+// AddBase folds the accumulated progress of a checkpoint — counts,
+// witnesses, run tallies, occupancy, tree/prune statistics — ignoring its
+// units. Call it once with the base of Checkpoint.Shards (or a resumed
+// spool snapshot) before folding shard results. The base's phase label,
+// reorder bound and DPOR mode carry into every checkpoint the fold writes.
 func (f *Fold) AddBase(cp *Checkpoint) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.acc.add(cp.Counts, cp.MaxOccupancy, cp.Runs, cp.StepLimited, cp.Tree, cp.Prune)
+	f.acc.add(cp)
 	f.acc.Label, f.acc.Reorder, f.acc.DPOR = cp.Label, cp.Reorder, cp.DPOR
 }
 
@@ -145,25 +145,28 @@ func (f *Fold) AddBase(cp *Checkpoint) {
 func (f *Fold) Add(set OutcomeSet, res ExploreResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.acc.add(set.Counts, set.MaxOccupancy, res.Runs, res.StepLimited, res.Tree, res.Prune)
+	f.acc.add(&Checkpoint{Counts: set.Counts, Witnesses: res.Witnesses, MaxOccupancy: set.MaxOccupancy,
+		Runs: res.Runs, StepLimited: res.StepLimited, Tree: res.Tree, Prune: res.Prune})
 	f.memo.merge(res.Memo)
 }
 
 // Result snapshots the folded totals. complete is the caller's statement
 // that every unit has been folded (the fold cannot know how many shards
 // are outstanding); it is reported verbatim in the ExploreResult. The
-// returned set shares no state with the fold.
+// returned set and witnesses share no state with the fold.
 func (f *Fold) Result(complete bool) (OutcomeSet, ExploreResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	set := OutcomeSet{Counts: maps.Clone(f.acc.Counts), MaxOccupancy: slices.Clone(f.acc.MaxOccupancy)}
-	return set, ExploreResult{
-		Runs:        f.acc.Runs,
+	acc := f.acc.empty()
+	acc.add(f.acc)
+	return OutcomeSet{Counts: acc.Counts, MaxOccupancy: acc.MaxOccupancy}, ExploreResult{
+		Runs:        acc.Runs,
 		Complete:    complete,
-		StepLimited: f.acc.StepLimited,
-		Tree:        f.acc.Tree,
-		Prune:       f.acc.Prune,
+		StepLimited: acc.StepLimited,
+		Tree:        acc.Tree,
+		Prune:       acc.Prune,
 		Memo:        f.memo,
+		Witnesses:   acc.Witnesses,
 	}
 }
 
@@ -181,7 +184,7 @@ func (f *Fold) Checkpoint(cfg Config, units []UnitCheckpoint) (*Checkpoint, erro
 	defer f.mu.Unlock()
 	cp := f.acc.empty()
 	cp.Threads, cp.BufferSize, cp.Model, cp.DrainBuffer = c.Threads, c.BufferSize, c.Model.String(), c.DrainBuffer
-	cp.add(f.acc.Counts, f.acc.MaxOccupancy, f.acc.Runs, f.acc.StepLimited, f.acc.Tree, f.acc.Prune)
+	cp.add(f.acc)
 	for _, u := range units {
 		cp.Units = append(cp.Units, cloneUnit(u))
 	}

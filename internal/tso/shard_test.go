@@ -282,12 +282,16 @@ func TestFreshExplorationResumesShardFrontier(t *testing.T) {
 					t.Fatalf("outcomes: fresh %+v, resumed %+v", freshSet, resumedSet)
 				}
 				// Parallel Prune's memo hits depend on which worker publishes
-				// first, and with them the executed runs and the tree and
-				// prune statistics; every other combination pins them.
+				// first, and with them the executed runs, the witnesses and
+				// the tree and prune statistics; every other combination
+				// pins them.
 				if par == 1 || !mode.opts.Prune {
 					if fresh.Runs != resumed.Runs || fresh.Tree != resumed.Tree || fresh.Prune != resumed.Prune {
 						t.Fatalf("stats: fresh %d %+v %+v, resumed %d %+v %+v",
 							fresh.Runs, fresh.Tree, fresh.Prune, resumed.Runs, resumed.Tree, resumed.Prune)
+					}
+					if !reflect.DeepEqual(fresh.Witnesses, resumed.Witnesses) {
+						t.Fatalf("witnesses: fresh %v, resumed %v", fresh.Witnesses, resumed.Witnesses)
 					}
 				}
 
