@@ -78,7 +78,10 @@ func benchCapacity(b *testing.B, p expt.Platform) {
 func BenchmarkFig8_LitmusGrid(b *testing.B) {
 	var badA, badB float64
 	for i := 0; i < b.N; i++ {
-		res := expt.Figure8(litmus.Options{Tasks: 64, Seeds: 12, DrainBiases: []float64{0.02, 0.2}})
+		res, err := expt.Figure8Ctx(context.Background(), litmus.Options{Tasks: 64, Seeds: 12, DrainBiases: []float64{0.02, 0.2}})
+		if err != nil {
+			b.Fatal(err)
+		}
 		badA, badB = 0, 0
 		for _, gp := range res.PanelA {
 			if !gp.Correct && gp.Delta >= gp.Alpha {
@@ -127,7 +130,7 @@ func BenchmarkFig10_Haswell(b *testing.B) {
 func benchFig10(b *testing.B, p expt.Platform) {
 	var thep, ffthe float64
 	for i := 0; i < b.N; i++ {
-		res, err := expt.Figure10(p, apps.SizeTest, 1)
+		res, err := expt.Figure10Ctx(context.Background(), nil, p, apps.SizeTest, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +147,7 @@ func benchFig10(b *testing.B, p expt.Platform) {
 func BenchmarkFig11_TransitiveClosure(b *testing.B) {
 	var ffcl float64
 	for i := 0; i < b.N; i++ {
-		res, err := expt.Figure11(expt.ScaledHaswell(), 400, 1)
+		res, err := expt.Figure11Ctx(context.Background(), nil, expt.ScaledHaswell(), 400, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,7 +279,7 @@ func BenchmarkLitmusMatrix(b *testing.B) {
 func BenchmarkFig10_HaswellHT(b *testing.B) {
 	var thep float64
 	for i := 0; i < b.N; i++ {
-		res, err := expt.Figure10(expt.HT(expt.ScaledHaswell()), apps.SizeTest, 1)
+		res, err := expt.Figure10Ctx(context.Background(), nil, expt.HT(expt.ScaledHaswell()), apps.SizeTest, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

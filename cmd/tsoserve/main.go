@@ -1,6 +1,7 @@
 // Command tsoserve runs the long-lived model-checking service: an HTTP
-// daemon that accepts deque programs as jobs (POST /v1/jobs), shards each
-// job's schedule frontier across a bounded worker pool, and serves
+// daemon that accepts deque programs as jobs (POST /v1/jobs), explores
+// each job's schedule frontier as one chain of budgeted slices on a
+// bounded worker pool (one slice per job at a time), and serves
 // results — including a replayable witness schedule when a job violates
 // its spec — at GET /v1/jobs/{id}. Progress is checkpointed to a spool
 // directory (one JSON record per job, frontiers in the binary checkpoint

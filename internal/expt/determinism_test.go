@@ -18,11 +18,17 @@ import (
 
 func TestFigure8ParallelMatchesSerial(t *testing.T) {
 	opts := litmus.Options{Tasks: 48, Seeds: 6, DrainBiases: []float64{0.02, 0.2}}
-	serial := Figure8(opts)
+	serial, err := Figure8Ctx(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	popts := opts
 	popts.Runner = runner.New(4)
-	parallel := Figure8(popts)
+	parallel, err := Figure8Ctx(context.Background(), popts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var bs, bp bytes.Buffer
 	RenderFigure8Panel(&bs, "Figure 8a", 32, serial.PanelA)

@@ -53,7 +53,7 @@ func ScaledHaswell() Platform {
 // HT converts a platform to its hyperthreaded configuration: twice the
 // threads, pairs sharing cores (tso.Config.SMT). §8.1 reports the
 // fence-removal benefit shrinking under hyperthreading because the core
-// runs the sibling during a fence stall; Figure10 on an HT platform
+// runs the sibling during a fence stall; Figure10Ctx on an HT platform
 // reproduces that.
 func HT(p Platform) Platform {
 	p.Name += " +HT"

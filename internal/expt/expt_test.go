@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,10 @@ func TestFigure7BothPlatforms(t *testing.T) {
 func TestFigure8Tiny(t *testing.T) {
 	// A reduced grid: only the L values where the S=32 vs S=33 analysis
 	// disagrees most sharply, few seeds. The real grid runs in cmd/litmus.
-	res := Figure8(litmus.Options{Tasks: 48, Seeds: 25, DrainBiases: []float64{0.02, 0.2}})
+	res, err := Figure8Ctx(context.Background(), litmus.Options{Tasks: 48, Seeds: 25, DrainBiases: []float64{0.02, 0.2}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.PanelA) == 0 || len(res.PanelB) == 0 {
 		t.Fatal("empty panels")
 	}
@@ -84,7 +88,7 @@ func TestFigure8Tiny(t *testing.T) {
 func TestFigure10SmallRun(t *testing.T) {
 	// One fast platform pass at test size to exercise the whole driver.
 	p := HaswellP()
-	res, err := Figure10(p, apps.SizeTest, 2)
+	res, err := Figure10Ctx(context.Background(), nil, p, apps.SizeTest, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,7 @@ func TestFigure10SmallRun(t *testing.T) {
 }
 
 func TestFigure11SmallRun(t *testing.T) {
-	res, err := Figure11(HaswellP(), 150, 2)
+	res, err := Figure11Ctx(context.Background(), nil, HaswellP(), 150, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,6 @@ type Fig10Result struct {
 	GeoMean map[string]float64
 }
 
-// Figure10 regenerates one panel of Figure 10 (10a: Westmere, 10b:
-// Haswell): the 11-program suite under the five fence-free variants,
-// normalized to the default (THE) runtime, median of `runs` scheduler
-// seeds with p10/p90.
-func Figure10(p Platform, size apps.Size, runs int) (Fig10Result, error) {
-	return Figure10Ctx(context.Background(), nil, p, size, runs)
-}
-
 // fig10Cell is one scheduled measurement of the Figure 10 matrix: one
 // app under one queue configuration with one scheduler seed.
 type fig10Cell struct {
@@ -76,8 +68,11 @@ func fig10Cells(variants []Variant, s, runs int) []fig10Cell {
 	return cells
 }
 
-// Figure10Ctx is Figure10 on a runner pool (nil r: serial) with
-// cancellation. The whole app × algorithm × seed matrix is flattened to
+// Figure10Ctx regenerates one panel of Figure 10 (10a: Westmere, 10b:
+// Haswell): the 11-program suite under the five fence-free variants,
+// normalized to the default (THE) runtime, median of `runs` scheduler
+// seeds with p10/p90. It runs on a runner pool (nil r: serial) with
+// cancellation: the whole app × algorithm × seed matrix is flattened to
 // independent jobs — each builds its own timed machine and scheduler —
 // then aggregated in the fixed matrix order, so the panel is identical
 // at any worker count.

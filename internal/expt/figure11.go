@@ -82,21 +82,11 @@ func (p Problem) build(g *graph.Graph, root int) (sched.TaskFunc, func() error) 
 	return graph.TransitiveClosure(g, root)
 }
 
-// Figure11 regenerates Figure 11: parallel transitive closure on the
+// Figure11Ctx regenerates Figure 11: parallel transitive closure on the
 // K-graph, random graph and torus, comparing Chase-Lev, the two
-// idempotent queues and FF-CL. scale sets the graph sizes (see
+// idempotent queues and FF-CL, on a runner pool (nil r: serial) with
+// cancellation. scale sets the graph sizes (see
 // graph.Figure11Workloads); runs is the seeds-per-cell count.
-func Figure11(p Platform, scale, runs int) (Fig11Result, error) {
-	return Figure11Problem(p, ProblemTransitiveClosure, scale, runs)
-}
-
-// Figure11Problem is Figure11 generalized over the graph computation.
-func Figure11Problem(p Platform, problem Problem, scale, runs int) (Fig11Result, error) {
-	return Figure11ProblemCtx(context.Background(), nil, p, problem, scale, runs)
-}
-
-// Figure11Ctx is Figure11 on a runner pool (nil r: serial) with
-// cancellation.
 func Figure11Ctx(ctx context.Context, r *runner.Runner, p Platform, scale, runs int) (Fig11Result, error) {
 	return Figure11ProblemCtx(ctx, r, p, ProblemTransitiveClosure, scale, runs)
 }
@@ -119,8 +109,8 @@ type fig11Sample struct {
 	stolen float64
 }
 
-// Figure11ProblemCtx is Figure11Problem on a runner pool (nil r: serial)
-// with cancellation. The workload × algorithm × seed matrix runs as
+// Figure11ProblemCtx is Figure11Ctx generalized over the graph
+// computation. The workload × algorithm × seed matrix runs as
 // independent jobs and is folded in the fixed matrix order, so the
 // figure is identical at any worker count.
 func Figure11ProblemCtx(ctx context.Context, r *runner.Runner, p Platform, problem Problem, scale, runs int) (Fig11Result, error) {

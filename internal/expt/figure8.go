@@ -2,7 +2,6 @@ package expt
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/litmus"
@@ -18,24 +17,16 @@ type Fig8Result struct {
 	PanelB []litmus.GridPoint // assuming S = 33
 }
 
-// Figure8 runs the litmus grid on the Westmere model (32 raw entries plus
-// the coalescing drain stage → observable bound 33). For each L of the
-// paper's sweep it tests δ at the S=32 prediction, the S=33 prediction,
-// and one above; panel a should show failures exactly where ⌈32/(L+1)⌉
-// divides evenly (δ one too low), and panel b should be correct on and
-// above the line δ = α except at L=0, where same-location coalescing
-// breaks any bound.
-func Figure8(opts litmus.Options) Fig8Result {
-	res, err := Figure8Ctx(context.Background(), opts)
-	if err != nil {
-		panic(fmt.Sprintf("expt: %v", err))
-	}
-	return res
-}
-
-// Figure8Ctx is Figure8 with cancellation. The grid runs on opts.Runner
-// when set (nil: serially); parallel and serial runs produce identical
-// panels because every litmus run carries its own seed and machine.
+// Figure8Ctx runs the litmus grid on the Westmere model (32 raw entries
+// plus the coalescing drain stage → observable bound 33), cancellable
+// through ctx. For each L of the paper's sweep it tests δ at the S=32
+// prediction, the S=33 prediction, and one above; panel a should show
+// failures exactly where ⌈32/(L+1)⌉ divides evenly (δ one too low), and
+// panel b should be correct on and above the line δ = α except at L=0,
+// where same-location coalescing breaks any bound. The grid runs on
+// opts.Runner when set (nil: serially); parallel and serial runs produce
+// identical panels because every litmus run carries its own seed and
+// machine.
 func Figure8Ctx(ctx context.Context, opts litmus.Options) (Fig8Result, error) {
 	cfg := tso.Config{BufferSize: 32, DrainBuffer: true}
 	deltasFor := func(l int) []int {

@@ -1,15 +1,22 @@
 // Package serve is the always-on verification service: an HTTP daemon
-// that accepts deque workloads (oracle programs) as jobs, model-checks
-// them by sharding each job's schedule frontier across a bounded worker
-// pool, and folds the shard deltas with the engine's own merge
-// (tso.Fold) — so a job's outcome counts are byte-identical to a direct
-// in-process tso.ExploreExhaustive/oracle.Run of the same program. A job
-// starts the way it restarts: the dispatcher adopts a checkpoint — the
-// freshly planned frontier or a spooled one — by one path. Progress is
-// checkpointed periodically to a spool directory in the frontier wire
-// format (tso.Checkpoint), so a killed or drained server resumes its jobs
-// on restart and still lands on the same final counts. The /metrics
-// exploration counters are one more tso.Fold over every slice.
+// that accepts deque workloads (oracle programs) as jobs and model-checks
+// them on a bounded worker pool. Each job's schedule frontier is split
+// into work units once; the job then runs as one chain of budgeted
+// slices, each a sequential tso.ExploreExhaustive that resumes the job's
+// whole open frontier (a DPOR job's first open unit) together with the
+// memo table the previous slice left on it, and folds the slice deltas
+// with the engine's own merge (tso.Fold) — so a job executes the runs of
+// one in-process exploration resumed at the same slice boundaries, and
+// its outcome counts are byte-identical to a direct in-process
+// tso.ExploreExhaustive/oracle.Run of the same program. A job's slices run
+// one at a time, so the pool's workers spread across jobs, not within
+// one. A job starts the way it restarts: the dispatcher adopts a
+// checkpoint — the freshly planned frontier or a spooled one — by one
+// path. Progress is checkpointed periodically to a spool directory in the
+// frontier wire format (tso.Checkpoint), so a killed or drained server
+// resumes its jobs on restart and still lands on the same final counts.
+// The /metrics exploration counters are one more tso.Fold over every
+// slice.
 package serve
 
 import (
@@ -93,19 +100,33 @@ type Config struct {
 	// SpoolDir is where job records and frontier checkpoints persist
 	// (default "tsoserve-spool", created on open).
 	SpoolDir string `json:"spool_dir,omitempty"`
-	// Workers sizes the exploration pool (default GOMAXPROCS).
+	// Workers sizes the exploration pool (default GOMAXPROCS). A job runs
+	// one slice at a time, so Workers bounds how many jobs explore at
+	// once: a lone job uses one worker. That costs a lone pruned job
+	// little, since its slices share one memo table, but a lone DPOR job
+	// explores its units one after another.
 	Workers int `json:"workers,omitempty"`
 	// QueueDepth bounds the unfinished jobs admitted at once; further
 	// submissions are rejected with 429 (default 64). Admission is
-	// bounded here, at intake, because the internal shard queue must stay
-	// unbounded (completions re-enqueue follow-up slices).
+	// bounded here, at intake, because the internal task queue must stay
+	// unbounded (completions re-enqueue follow-up slices). A running
+	// pruned job keeps its memo table between slices, so QueueDepth also
+	// bounds how many memo tables are alive at once.
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// ShardUnits is the target number of frontier work units each job is
-	// split into (default 4× workers).
+	// split into when planned (default 8). A slice resumes all of a
+	// pruned job's open units in depth-first order, so for it the split
+	// barely matters. A DPOR job's totals do depend on it — each unit
+	// re-derives its own backtracking — which is why the default is a
+	// constant and not a multiple of Workers: the same job reports the
+	// same totals on every host.
 	ShardUnits int `json:"shard_units,omitempty"`
-	// SliceRuns is the schedule budget of one pool task; smaller slices
-	// checkpoint and interleave jobs more finely, larger ones amortize
-	// dispatch (default 4096).
+	// SliceRuns is the schedule budget of one slice, one pool task that
+	// resumes the job's open frontier. Smaller slices checkpoint and
+	// interleave jobs more finely; larger ones amortize dispatch and cut
+	// fewer subtrees: a subtree a slice boundary cuts is never memoized,
+	// and a DPOR unit cut mid-walk explores every open branch on its path
+	// (default 4096).
 	SliceRuns int `json:"slice_runs,omitempty"`
 	// MaxJobRuns caps any job's executed-schedule budget and is the
 	// default for jobs that do not set one (default 1<<20).
@@ -180,7 +201,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.QueueDepth = 64
 	}
 	if c.ShardUnits == 0 {
-		c.ShardUnits = 4 * c.Workers
+		c.ShardUnits = 8
 	}
 	if c.SliceRuns == 0 {
 		c.SliceRuns = 4096

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -25,8 +24,8 @@ var (
 	ErrUnknownJob = errors.New("serve: unknown job")
 )
 
-// Server is the verification service engine: job intake, the shard
-// dispatcher over a bounded worker pool, the deterministic fold of shard
+// Server is the verification service engine: job intake, the slice
+// dispatcher over a bounded worker pool, the deterministic fold of slice
 // deltas, periodic spooling, and drain/kill lifecycle. The HTTP layer
 // (Handler) is a thin skin over its methods.
 type Server struct {
@@ -51,7 +50,9 @@ type Server struct {
 	drainOnce sync.Once
 }
 
-// job is the in-memory state of one verification job.
+// job is the in-memory state of one verification job. A job has at most
+// one pool task queued or running — its plan, then one slice at a time —
+// and the completion of each queues the next (taskDone).
 type job struct {
 	id    string
 	spec  JobSpec
@@ -62,14 +63,18 @@ type job struct {
 	// the job's lifetime.
 	sc oracle.Scenario
 
-	state       JobState
-	errMsg      string
-	fold        *tso.Fold
-	outstanding map[int]*tso.Checkpoint // single-unit shards (Checkpoint.Shards)
-	nextUnit    int
-	budget      int // remaining executed-schedule budget (prepaid per slice)
-	executed    int
-	inFlight    int // pool tasks queued or running for this job
+	state  JobState
+	errMsg string
+	fold   *tso.Fold
+	// frontier is the zero-progress checkpoint of every open work unit
+	// (Checkpoint.Frontier); the fold holds the progress. Set once the
+	// job is running.
+	frontier *tso.Checkpoint
+	budget   int // remaining executed-schedule budget
+	executed int
+	// memoEntries is the residency of the memo table the job's slices
+	// continue: the sum of what each slice added (its Memo.Entries).
+	memoEntries int
 	dirty       bool
 	result      *JobResult
 }
@@ -121,19 +126,18 @@ func (s *Server) newJob(id string, spec JobSpec) (*job, error) {
 		budget = s.cfg.MaxJobRuns
 	}
 	return &job{
-		id:          id,
-		spec:        spec,
-		check:       check,
-		sc:          sc,
-		state:       StateQueued,
-		fold:        tso.NewFold(sc.Config.Threads),
-		outstanding: map[int]*tso.Checkpoint{},
-		budget:      budget,
+		id:     id,
+		spec:   spec,
+		check:  check,
+		sc:     sc,
+		state:  StateQueued,
+		fold:   tso.NewFold(sc.Config.Threads),
+		budget: budget,
 	}, nil
 }
 
 // Submit validates and admits a job, persists its intake record, and
-// queues the planning task that shards its frontier. The returned status
+// queues the planning task that splits its frontier. The returned status
 // snapshots the accepted job.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	j, err := s.newJob("", spec)
@@ -158,7 +162,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	s.order = append(s.order, j.id)
 	rec := s.recordLocked(j)
 	st := s.statusLocked(j)
-	s.enqueuePlanLocked(j)
+	s.enqueueLocked(j, "plan", s.plan)
 	s.mu.Unlock()
 
 	s.put(rec)
@@ -210,20 +214,23 @@ func (s *Server) Draining() bool {
 // statusLocked snapshots a job (mu held). The result is shared: nothing
 // mutates it once finalize has sealed it.
 func (s *Server) statusLocked(j *job) JobStatus {
-	return JobStatus{
-		ID:               j.id,
-		State:            j.state,
-		Spec:             j.spec,
-		Executed:         j.executed,
-		OutstandingUnits: len(j.outstanding),
-		Error:            j.errMsg,
-		Result:           j.result,
+	st := JobStatus{
+		ID:       j.id,
+		State:    j.state,
+		Spec:     j.spec,
+		Executed: j.executed,
+		Error:    j.errMsg,
+		Result:   j.result,
 	}
+	if j.frontier != nil {
+		st.OutstandingUnits = len(j.frontier.Units)
+	}
+	return st
 }
 
-// recordLocked builds a job's durable record, including — for jobs with
-// sharded frontiers — the crash-consistent checkpoint: folded counts
-// plus every outstanding unit at its last slice boundary (mu held).
+// recordLocked builds a job's durable record, including — for running
+// jobs — the crash-consistent checkpoint: folded counts plus every open
+// unit at the last slice boundary (mu held).
 func (s *Server) recordLocked(j *job) *Record {
 	rec := &Record{
 		ID:     j.id,
@@ -234,16 +241,7 @@ func (s *Server) recordLocked(j *job) *Record {
 		Result: j.result,
 	}
 	if j.state == StateRunning {
-		units := make([]tso.UnitCheckpoint, 0, len(j.outstanding))
-		ids := make([]int, 0, len(j.outstanding))
-		for id := range j.outstanding {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			units = append(units, j.outstanding[id].Units[0])
-		}
-		cp, err := j.fold.Checkpoint(j.sc.Config, units)
+		cp, err := j.fold.Checkpoint(j.sc.Config, j.frontier.Units)
 		if err == nil {
 			rec.Checkpoint = cp
 		}
@@ -258,20 +256,20 @@ func (s *Server) put(rec *Record) {
 	}
 }
 
-// enqueuePlanLocked queues the frontier-splitting task (mu held).
-func (s *Server) enqueuePlanLocked(j *job) {
+// enqueueLocked queues one pool task of a job — its plan or its next
+// slice — whose completion is taskDone (mu held). The pool refuses it
+// only once closed, and it closes only after draining is set: the job
+// then keeps its frontier for the spool.
+func (s *Server) enqueueLocked(j *job, name string, fn func(ctx context.Context, id string) error) {
 	id := j.id
-	err := s.pool.Go(runner.Job{
-		Name: id + "/plan",
-		Fn:   func(ctx context.Context) (any, error) { return nil, s.plan(ctx, id) },
+	_ = s.pool.Go(runner.Job{
+		Name: id + "/" + name,
+		Fn:   func(ctx context.Context) (any, error) { return nil, fn(ctx, id) },
 	}, func(o runner.Outcome) { s.taskDone(id, o) })
-	if err == nil {
-		j.inFlight++
-	}
 }
 
-// plan shards a queued job's decision tree into work units and queues
-// their first slices.
+// plan splits a queued job's decision tree into work units; its
+// completion queues the first slice.
 func (s *Server) plan(ctx context.Context, id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -298,7 +296,7 @@ func (s *Server) plan(ctx context.Context, id string) error {
 	}
 
 	s.mu.Lock()
-	s.startLocked(j, cp) // never finalizes: this plan task is in flight
+	s.startLocked(j, cp)
 	j.dirty = true
 	rec := s.recordLocked(j)
 	s.mu.Unlock()
@@ -310,123 +308,88 @@ func (s *Server) plan(ctx context.Context, id string) error {
 
 // startLocked adopts a checkpoint as a job's frontier — the planned one,
 // or a spooled one at restart: its accumulated progress seeds the fold
-// and each unexplored unit becomes an outstanding single-unit shard with
-// a queued slice. A checkpoint with nothing left to explore finalizes
-// the job at once; the returned record is then the one to spool, nil
-// otherwise (mu held).
-func (s *Server) startLocked(j *job, cp *tso.Checkpoint) *Record {
-	base, shards := cp.Shards()
-	j.fold.AddBase(base)
-	j.executed = base.Runs
+// and its open units become the frontier the job's slices resume (mu
+// held). The caller then advances the job: the plan through its
+// completion, a restart directly.
+func (s *Server) startLocked(j *job, cp *tso.Checkpoint) {
+	j.fold.AddBase(cp)
+	j.executed = cp.Runs
+	j.frontier = cp.Frontier()
 	j.state = StateRunning
-	for _, shard := range shards {
-		uid := j.nextUnit
-		j.nextUnit++
-		j.outstanding[uid] = shard
-		s.enqueueSliceLocked(j, uid)
-	}
-	if len(shards) == 0 && j.inFlight == 0 {
+}
+
+// advanceLocked queues a running job's next slice, or finalizes it once
+// no unit is open or its budget is spent; the returned record is then
+// the one to spool, nil otherwise (mu held).
+func (s *Server) advanceLocked(j *job) *Record {
+	if len(j.frontier.Units) == 0 || j.budget <= 0 {
 		return s.finalizeLocked(j)
 	}
+	s.enqueueLocked(j, "slice", s.explore)
 	return nil
 }
 
-// enqueueSliceLocked queues the next budget slice of one unit (mu held).
-func (s *Server) enqueueSliceLocked(j *job, uid int) {
-	id := j.id
-	err := s.pool.Go(runner.Job{
-		Name: fmt.Sprintf("%s/unit-%d", id, uid),
-		Fn:   func(ctx context.Context) (any, error) { return nil, s.explore(ctx, id, uid) },
-	}, func(o runner.Outcome) { s.taskDone(id, o) })
-	if err == nil {
-		j.inFlight++
-	}
-}
-
-// explore runs one budget slice of one outstanding unit and folds its
-// delta. The slice resumes a zero-progress checkpoint, so the engine
-// returns a pure delta and the fold stays order-independent; the budget
-// is prepaid and the unused remainder refunded, so concurrent slices
-// never overrun the job budget.
-func (s *Server) explore(ctx context.Context, id string, uid int) error {
+// explore runs one budget slice of a job: one sequential exploration
+// that resumes the job's whole zero-progress frontier and the memo table
+// the previous slice left on it, so the job's slices dedup as one
+// exploration does, and the engine returns a pure delta, which is folded
+// into the job and into /metrics. The slice's open units, then the ones
+// it did not resume, become the job's frontier.
+//
+// A DPOR job's slice resumes only its first open unit. DPOR has no memo
+// table to share, and a unit resumed mid-walk re-derives its backtracking
+// by exploring every open branch on its path, so a budget cut belongs
+// inside a unit only when the unit alone outgrows a slice.
+func (s *Server) explore(_ context.Context, id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok || j.state != StateRunning || s.draining {
 		s.mu.Unlock()
 		return nil
 	}
-	cp, ok := j.outstanding[uid]
-	if !ok {
-		s.mu.Unlock()
-		return nil
+	take := min(s.cfg.SliceRuns, j.budget)
+	sc, check, spec := j.sc, j.check, j.spec
+	frontier := *j.frontier
+	if spec.DPOR {
+		frontier.Units = frontier.Units[:1]
 	}
-	take := s.cfg.SliceRuns
-	if take > j.budget {
-		take = j.budget
-	}
-	if take <= 0 {
-		// Budget exhausted; taskDone finalizes incomplete once in-flight
-		// slices settle.
-		s.mu.Unlock()
-		return nil
-	}
-	j.budget -= take
-	sc, check := j.sc, j.check
-	prune := !j.spec.NoPrune && !j.spec.DPOR
-	reorder := j.spec.MaxReorderings
-	dpor := j.spec.DPOR
 	s.mu.Unlock()
-	if ctx.Err() != nil {
-		s.mu.Lock()
-		j.budget += take
-		s.mu.Unlock()
-		return nil
-	}
 	s.metrics.slices.Add(1)
 
 	mk, out := sc.Outcomes(check)
 	set, res := tso.ExploreExhaustive(sc.Config, mk, out, tso.ExhaustiveOptions{
 		ExploreOptions: tso.ExploreOptions{MaxRuns: take, MaxStepsPerRun: s.cfg.MaxStepsPerRun},
-		Prune:          prune,
-		MaxReorderings: reorder,
-		DPOR:           dpor,
-		Resume:         cp,
+		Prune:          !spec.NoPrune && !spec.DPOR,
+		MaxReorderings: spec.MaxReorderings,
+		DPOR:           spec.DPOR,
+		Resume:         &frontier,
 		Interrupt:      s.stopCh,
 	})
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.fold.Add(set, res)
-	j.budget += take - res.Runs
+	j.budget -= res.Runs
 	j.executed += res.Runs
 	j.dirty = true
-	s.foldMetrics(set, res)
-	if res.Complete {
-		delete(j.outstanding, uid)
-		return nil
+	s.metrics.explored.Add(set, res)
+	if res.Memo.Stripes > 0 {
+		j.memoEntries += res.Memo.Entries
+		s.metrics.memoEntries.Store(int64(j.memoEntries))
 	}
-	// A slice resumes one unit and the engine reports only the units it
-	// resumed that are still open, so the remainder is exactly one unit.
-	_, rest := res.Checkpoint.Shards()
-	j.outstanding[uid] = rest[0]
-	if !s.draining && j.budget > 0 {
-		s.enqueueSliceLocked(j, uid)
+	rest := j.frontier.Units[len(frontier.Units):]
+	if res.Complete {
+		j.frontier.Units = rest
+	} else {
+		j.frontier = res.Checkpoint.Frontier()
+		j.frontier.Units = append(j.frontier.Units, rest...)
 	}
 	return nil
 }
 
-// foldMetrics folds one slice's engine statistics into the server-wide
-// totals.
-func (s *Server) foldMetrics(set tso.OutcomeSet, res tso.ExploreResult) {
-	s.metrics.explored.Add(set, res)
-	if res.Memo.Entries > 0 {
-		s.metrics.memoEntries.Store(int64(res.Memo.Entries))
-	}
-}
-
-// taskDone is every pool task's completion callback: it settles in-flight
-// accounting, converts a panicking task into a failed job, and finalizes
-// the job once nothing is left to run.
+// taskDone is every pool task's completion callback: it converts a
+// panicking task into a failed job, and otherwise advances a running job
+// to its next slice or its result.
 func (s *Server) taskDone(id string, o runner.Outcome) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -434,7 +397,6 @@ func (s *Server) taskDone(id string, o runner.Outcome) {
 		s.mu.Unlock()
 		return
 	}
-	j.inFlight--
 	var rec *Record
 	var pe *runner.PanicError
 	failed := errors.As(o.Err, &pe) || (o.Err != nil && !errors.Is(o.Err, context.Canceled))
@@ -445,16 +407,8 @@ func (s *Server) taskDone(id string, o runner.Outcome) {
 		rec = s.recordLocked(j)
 		s.metrics.jobsFailed.Add(1)
 		s.metrics.jobsActive.Add(-1)
-	case j.state == StateRunning && j.inFlight == 0 && !s.draining &&
-		(len(j.outstanding) == 0 || j.budget <= 0):
-		rec = s.finalizeLocked(j)
-	case j.state == StateRunning && j.inFlight == 0 && !s.draining:
-		// Budget came back (a concurrent slice refunded its prepayment
-		// after this unit's slice saw none) but the outstanding units
-		// have no queued tasks — revive them or the job stalls.
-		for uid := range j.outstanding {
-			s.enqueueSliceLocked(j, uid)
-		}
+	case j.state == StateRunning && !s.draining:
+		rec = s.advanceLocked(j)
 	}
 	s.mu.Unlock()
 	if rec != nil {
@@ -466,7 +420,7 @@ func (s *Server) taskDone(id string, o runner.Outcome) {
 // violating witness its slices executed replayed once for its trace, and
 // moves the job to the done state. Returns the record to spool (mu held).
 func (s *Server) finalizeLocked(j *job) *Record {
-	complete := len(j.outstanding) == 0
+	complete := len(j.frontier.Units) == 0
 	set, res := j.fold.Result(complete)
 	j.result = &JobResult{
 		Outcomes:     set.Counts,
@@ -483,6 +437,9 @@ func (s *Server) finalizeLocked(j *job) *Record {
 	if ce := oracle.WitnessCounterexample(j.sc, j.check, res, s.cfg.MaxStepsPerRun); ce != nil {
 		j.result.Witness = &Witness{Outcome: ce.Outcome, Choices: ce.Choices, Trace: ce.Trace}
 	}
+	// A done job keeps its open units for its status, not the memo
+	// table its frontier carried between slices.
+	j.frontier = &tso.Checkpoint{Units: j.frontier.Units}
 	j.state = StateDone
 	s.metrics.jobsCompleted.Add(1)
 	s.metrics.jobsActive.Add(-1)
@@ -556,7 +513,7 @@ func (s *Server) resume() error {
 		s.metrics.jobsResumed.Add(1)
 		s.metrics.jobsActive.Add(1)
 		if rec.Checkpoint == nil {
-			s.enqueuePlanLocked(j)
+			s.enqueueLocked(j, "plan", s.plan)
 			continue
 		}
 		if err := rec.Checkpoint.CompatibleWithOptions(j.sc.Config, tso.ExhaustiveOptions{
@@ -565,7 +522,8 @@ func (s *Server) resume() error {
 		}); err != nil {
 			return fmt.Errorf("serve: resuming %s: %w", rec.ID, err)
 		}
-		if rec2 := s.startLocked(j, rec.Checkpoint); rec2 != nil {
+		s.startLocked(j, rec.Checkpoint)
+		if rec2 := s.advanceLocked(j); rec2 != nil {
 			// Everything was folded before the shutdown; the job is done.
 			go s.put(rec2)
 		}

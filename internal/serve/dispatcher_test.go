@@ -2,10 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/tso"
 )
 
@@ -32,7 +34,7 @@ func TestDrainSpoolsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Submit(mediumSpec())
+	st, err := s.Submit(heavySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestDrainSpoolsAndResumes(t *testing.T) {
 	if final.State != StateDone || final.Result == nil || !final.Result.Complete {
 		t.Fatalf("resumed job did not complete: %+v", final)
 	}
-	want := directReport(t, mediumSpec())
+	want := directReport(t, heavySpec())
 	if !reflect.DeepEqual(final.Result.Outcomes, want.Outcomes) {
 		t.Fatalf("resumed outcomes %v, want %v", final.Result.Outcomes, want.Outcomes)
 	}
@@ -120,7 +122,7 @@ func TestResumeTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Submit(mediumSpec())
+	st, err := s.Submit(heavySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestResumeTwice(t *testing.T) {
 	if final.State != StateDone || final.Result == nil || !final.Result.Complete {
 		t.Fatalf("twice-resumed job did not complete: %+v", final)
 	}
-	want := directReport(t, mediumSpec())
+	want := directReport(t, heavySpec())
 	if !reflect.DeepEqual(final.Result.Outcomes, want.Outcomes) {
 		t.Fatalf("twice-resumed outcomes %v, want %v", final.Result.Outcomes, want.Outcomes)
 	}
@@ -230,5 +232,106 @@ func TestRestartFinalizesFoldedCheckpoint(t *testing.T) {
 	}
 	if st, err := s.Submit(smallSpec()); err != nil || st.ID != "job-000008" {
 		t.Fatalf("next submission got %q, %v; want job-000008", st.ID, err)
+	}
+}
+
+// sliceReference explores js in-process the way a job does: the frontier
+// split into cfg.ShardUnits units, one sequential exploration resumed in
+// cfg.SliceRuns-sized legs until complete, each leg continuing the
+// previous leg's memo table — or, for a DPOR job, each unit explored in
+// such legs in turn.
+func sliceReference(t *testing.T, js JobSpec, cfg Config) (tso.OutcomeSet, tso.ExploreResult, *oracle.Counterexample) {
+	t.Helper()
+	prog, check, err := js.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := prog.Scenario()
+	mk, out := sc.Outcomes(check)
+	opts := tso.ExhaustiveOptions{
+		ExploreOptions: tso.ExploreOptions{MaxStepsPerRun: cfg.MaxStepsPerRun},
+		Units:          cfg.ShardUnits,
+		Prune:          !js.NoPrune && !js.DPOR,
+		MaxReorderings: js.MaxReorderings,
+		DPOR:           js.DPOR,
+	}
+	cp, err := tso.ShardFrontier(sc.Config, mk, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := [][]tso.UnitCheckpoint{cp.Units}
+	if js.DPOR {
+		groups = nil
+		for _, u := range cp.Units {
+			groups = append(groups, []tso.UnitCheckpoint{u})
+		}
+	}
+	fold := tso.NewFold(sc.Config.Threads)
+	fold.AddBase(cp)
+	opts.MaxRuns = cfg.SliceRuns
+	for _, units := range groups {
+		opts.Resume = cp.Frontier()
+		opts.Resume.Units = units
+		for {
+			set, res := tso.ExploreExhaustive(sc.Config, mk, out, opts)
+			if res.Complete {
+				fold.Add(set, res)
+				break
+			}
+			opts.Resume = res.Checkpoint
+		}
+	}
+	set, res := fold.Result(true)
+	return set, res, oracle.WitnessCounterexample(sc, check, res, cfg.MaxStepsPerRun)
+}
+
+// TestJobExecutesAsOneExploration: a job's slices resume its whole
+// frontier one after another, so the job executes exactly the runs of one
+// sequential in-process exploration over the same units resumed at the
+// same slice boundaries — not one cold exploration per unit — and reports
+// its counts, statistics and witness.
+func TestJobExecutesAsOneExploration(t *testing.T) {
+	bounded, dpor := smallSpec(), smallSpec()
+	bounded.MaxReorderings = 1
+	dpor.DPOR = true
+	names := []string{"small", "medium", "small k=1", "small DPOR", "violating"}
+	specs := []JobSpec{smallSpec(), mediumSpec(), bounded, dpor, violatingSpec()}
+	for _, sliceRuns := range []int{0, 256} {
+		s, err := NewServer(Config{SpoolDir: t.TempDir(), Workers: 2, SliceRuns: sliceRuns, CheckpointInterval: Duration(time.Hour)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, js := range specs {
+			st, err := s.Submit(js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, st.ID)
+		}
+		for i, js := range specs {
+			final := waitServer(t, s, ids[i], 120*time.Second)
+			r := final.Result
+			if final.State != StateDone || r == nil || !r.Complete {
+				t.Fatalf("%s job: not complete: %+v", names[i], final)
+			}
+			set, res, ce := sliceReference(t, js, s.Config())
+			at := fmt.Sprintf("%s job at %d runs a slice", names[i], s.Config().SliceRuns)
+			if r.Executed != res.Runs || r.Schedules != set.Total() || !reflect.DeepEqual(r.Outcomes, set.Counts) {
+				t.Errorf("%s: executed %d runs over %d schedules %v, want %d over %d %v",
+					at, r.Executed, r.Schedules, r.Outcomes, res.Runs, set.Total(), set.Counts)
+			}
+			if r.Tree != res.Tree || r.Prune != res.Prune {
+				t.Errorf("%s: tree %+v prune %+v, want %+v %+v",
+					at, r.Tree, r.Prune, res.Tree, res.Prune)
+			}
+			switch {
+			case (r.Witness == nil) != (ce == nil):
+				t.Errorf("%s: witness %+v, want %+v", at, r.Witness, ce)
+			case ce != nil && !reflect.DeepEqual(r.Witness.Choices, ce.Choices):
+				t.Errorf("%s: witness %v, want %v", at, r.Witness.Choices, ce.Choices)
+			}
+		}
+		s.Drain()
 	}
 }

@@ -99,9 +99,12 @@ type JobSpec struct {
 	// unreduced job's. Mutually exclusive with MaxReorderings
 	// (ErrBadDPOR); NoPrune is implied — memoization is superseded. The
 	// mode is stamped into spooled checkpoints, so a restarted server
-	// resumes the job under the same mode or refuses loudly. Slice
-	// resumes re-derive backtracking conservatively, so a heavily sliced
-	// DPOR job keeps soundness but sheds part of the reduction.
+	// resumes the job under the same mode or refuses loudly. Each work
+	// unit (Config.ShardUnits) and each slice resume re-derive
+	// backtracking conservatively, so a finely split or heavily sliced
+	// DPOR job keeps soundness but sheds part of the reduction. A DPOR
+	// job's slices therefore resume one unit at a time: a slice boundary
+	// falls inside a unit only when the unit outgrows Config.SliceRuns.
 	DPOR bool `json:"dpor,omitempty"`
 }
 
@@ -228,8 +231,9 @@ type JobStatus struct {
 	Spec JobSpec `json:"spec"`
 	// Executed is the running count of schedules executed so far.
 	Executed int `json:"executed"`
-	// OutstandingUnits is the number of frontier work units not yet
-	// fully explored (zero once done).
+	// OutstandingUnits is the number of frontier work units the job's
+	// next slice resumes (zero once the job completes; a job that ran out
+	// of budget keeps its open units).
 	OutstandingUnits int `json:"outstanding_units,omitempty"`
 	// Error describes a failed job.
 	Error string `json:"error,omitempty"`

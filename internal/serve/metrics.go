@@ -12,9 +12,10 @@ import (
 // Metrics is the service's Prometheus-style counter set. All fields are
 // monotonic counters except where noted; WritePrometheus renders them in
 // the text exposition format. Exploration counters come from one
-// server-wide tso.Fold that every slice's result is added to — the same
-// merge that folds each job's own result — so they agree exactly with
-// job results.
+// server-wide tso.Fold that every slice's delta is added to — the same
+// merge that folds each job's own result, where a slice is one resumed
+// exploration of a job's whole open frontier — so they agree exactly
+// with job results.
 type Metrics struct {
 	start time.Time
 
@@ -39,9 +40,9 @@ type Metrics struct {
 	// for zero threads: jobs differ in shape and /metrics reports no
 	// occupancy.
 	explored *tso.Fold
-	// memoEntries is the number of entries resident in the memo arena at
-	// the end of the most recently folded slice (gauge; each slice runs
-	// its own arena, so residency is per-slice, not cumulative).
+	// memoEntries is the number of entries resident in the memo table
+	// of the job whose slice was folded last (gauge; a job's slices
+	// continue one table, so this is that job's residency so far).
 	memoEntries atomic.Int64
 
 	// slices counts pool tasks executed (plan and explore).
@@ -93,7 +94,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("tsoserve_dpor_races_detected_total", "Reversible races DPOR detected on executed runs.", res.Prune.DPORRaces)
 	counter("tsoserve_dpor_backtracks_total", "Branches DPOR race handling added to backtrack sets.", res.Prune.DPORBacktracks)
 	counter("tsoserve_dpor_sleep_skips_total", "Branches skipped by DPOR dependence-derived sleep sets.", res.Prune.DPORSleepSkips)
-	gauge("tsoserve_memo_entries", "Memo-arena entries resident at the end of the most recent slice.", float64(m.memoEntries.Load()))
+	gauge("tsoserve_memo_entries", "Memo-arena entries resident in the table of the job whose slice finished last.", float64(m.memoEntries.Load()))
 	counter("tsoserve_memo_admitted_total", "Memo-arena entries admitted across all slices.", res.Memo.Admitted)
 	counter("tsoserve_memo_evicted_total", "Memo-arena entries evicted by the per-stripe FIFO clock.", res.Memo.Evicted)
 	counter("tsoserve_memo_stripe_contention_total", "Memo stripe-lock acquisitions that found the lock held.", res.Memo.Contended)

@@ -23,11 +23,17 @@ func smallSpec() JobSpec {
 	return JobSpec{Algorithm: "FF-CL", S: 2, Prefill: 1, WorkerOps: "PT", Thieves: []int{2}}
 }
 
-// mediumSpec is the mid-flight workhorse: big enough (≈166k schedules,
-// thousands of executed runs at small slice sizes) that kill and drain
-// reliably catch it running, small enough to finish in test time.
+// mediumSpec is a mid-size job: ≈166k schedules in a few hundred
+// executed runs.
 func mediumSpec() JobSpec {
 	return JobSpec{Algorithm: "FF-CL", S: 2, Prefill: 2, WorkerOps: "PT", Thieves: []int{2}}
+}
+
+// heavySpec is the mid-flight workhorse: big enough (≈505M schedules,
+// thousands of executed runs at small slice sizes) that kill and drain
+// reliably catch it running, small enough to finish in test time.
+func heavySpec() JobSpec {
+	return JobSpec{Algorithm: "idempotent FIFO", S: 1, Prefill: 2, WorkerOps: "T", Thieves: []int{1, 1}, Drain: true}
 }
 
 // violatingSpec is the corpus δ<S unsound configuration: FF-CL with
@@ -258,7 +264,7 @@ func TestKillAndResume(t *testing.T) {
 	cfg := Config{SpoolDir: spool, Workers: 2, SliceRuns: 32, CheckpointInterval: Duration(2 * time.Millisecond)}
 	s, ts := newTestServer(t, cfg)
 
-	st := postJob(t, ts, mediumSpec())
+	st := postJob(t, ts, heavySpec())
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		cur := getStatus(t, ts, st.ID)
@@ -303,7 +309,7 @@ func TestKillAndResume(t *testing.T) {
 	if final.State != StateDone || final.Result == nil || !final.Result.Complete {
 		t.Fatalf("resumed job did not complete: %+v", final)
 	}
-	want := directReport(t, mediumSpec())
+	want := directReport(t, heavySpec())
 	if !reflect.DeepEqual(final.Result.Outcomes, want.Outcomes) {
 		t.Fatalf("resumed outcomes %v, want %v", final.Result.Outcomes, want.Outcomes)
 	}
@@ -335,7 +341,7 @@ func TestSubmitRejections(t *testing.T) {
 	}
 
 	// One slow job fills the QueueDepth=1 admission window.
-	st := postJob(t, ts, mediumSpec())
+	st := postJob(t, ts, heavySpec())
 	body, _ := json.Marshal(smallSpec())
 	if code := post(string(body)); code != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %d, want 429", code)

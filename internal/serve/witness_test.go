@@ -88,8 +88,10 @@ func TestKilledViolatingJobKeepsWitness(t *testing.T) {
 		}
 	}
 
-	// Slices start with an empty memo table, so the restart runs larger
-	// ones: at two runs a slice the pruned job would explore unpruned.
+	// A subtree a slice boundary cuts is never memoized, so at two runs a
+	// slice the pruned job memoizes almost nothing and runs for hundreds
+	// of thousands of schedules: the restart runs larger slices to finish
+	// in test time.
 	cfg.SliceRuns = 256
 	s2, err := NewServer(cfg)
 	if err != nil {

@@ -105,19 +105,20 @@ func TestCheckpointValidateRejects(t *testing.T) {
 }
 
 // TestCheckpointCompatibleWith: the graceful counterpart of the resume
-// panic — a mismatched machine shape must be reported as an error.
+// panic — a mismatched machine shape must be reported as an error by
+// CompatibleWithOptions, the one resume check.
 func TestCheckpointCompatibleWith(t *testing.T) {
 	cp := validCheckpoint()
-	if err := cp.CompatibleWith(Config{Threads: 2, BufferSize: 2}); err != nil {
+	if err := cp.CompatibleWithOptions(Config{Threads: 2, BufferSize: 2}, ExhaustiveOptions{}); err != nil {
 		t.Fatalf("matching config rejected: %v", err)
 	}
-	if err := cp.CompatibleWith(Config{Threads: 2, BufferSize: 3}); err == nil {
+	if err := cp.CompatibleWithOptions(Config{Threads: 2, BufferSize: 3}, ExhaustiveOptions{}); err == nil {
 		t.Fatal("S=3 config accepted an S=2 checkpoint")
 	}
-	if err := cp.CompatibleWith(Config{Threads: 3, BufferSize: 2}); err == nil {
+	if err := cp.CompatibleWithOptions(Config{Threads: 3, BufferSize: 2}, ExhaustiveOptions{}); err == nil {
 		t.Fatal("3-thread config accepted a 2-thread checkpoint")
 	}
-	if err := cp.CompatibleWith(Config{Threads: 2, BufferSize: 2, DrainBuffer: true}); err == nil {
+	if err := cp.CompatibleWithOptions(Config{Threads: 2, BufferSize: 2, DrainBuffer: true}, ExhaustiveOptions{}); err == nil {
 		t.Fatal("drain-stage config accepted a stage-less checkpoint")
 	}
 }

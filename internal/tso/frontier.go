@@ -48,6 +48,14 @@ type Checkpoint struct {
 	// keeps the witnesses found before the checkpoint.
 	Witnesses map[string][]int
 	Units     []UnitCheckpoint
+
+	// memo is the memo table of the exploration that wrote this
+	// checkpoint, held in memory only: BinaryCodec does not encode it. A
+	// resume of the checkpoint — or of its Frontier — in the same process
+	// continues that table instead of starting an empty one, so an
+	// exploration resumed leg by leg dedups across its legs the way an
+	// uninterrupted one does.
+	memo *memoTable
 }
 
 // UnitCheckpoint is the resumable position of one work unit: the unit's
@@ -172,32 +180,6 @@ func (uc *UnitCheckpoint) validate() error {
 	return nil
 }
 
-// CompatibleWith reports whether the checkpoint can be resumed under the
-// configuration — same thread count, buffer size, memory model and drain
-// stage — so callers holding externally supplied checkpoints (a spool
-// directory, a wire request) can reject mismatches gracefully instead of
-// panicking inside ExploreExhaustive.
-func (cp *Checkpoint) CompatibleWith(c Config) error {
-	cd, err := c.withDefaults()
-	if err != nil {
-		return err
-	}
-	return cp.validate(cd)
-}
-
-// CompatibleWithOptions extends CompatibleWith with the exploration
-// options resume additionally requires agreement on: the reorder bound
-// the frontier was pruned under, and the phase label when both sides
-// carry one. The same graceful-rejection contract: callers holding
-// externally supplied checkpoints check here instead of panicking
-// inside ExploreExhaustive.
-func (cp *Checkpoint) CompatibleWithOptions(c Config, o ExhaustiveOptions) error {
-	if err := cp.CompatibleWith(c); err != nil {
-		return err
-	}
-	return cp.validateOptions(o.withDefaults())
-}
-
 // Resume-refusal sentinels. Each axis resume must agree on gets its own
 // sentinel so callers (and the mutation-matrix test) can tell exactly
 // which mismatch refused a frontier; wrap-compare with errors.Is.
@@ -212,9 +194,30 @@ var (
 	ErrResumeLabel = errors.New("tso: checkpoint label mismatch")
 )
 
-// validateOptions rejects resuming under options the frontier was not
-// explored with. o must be defaulted.
-func (cp *Checkpoint) validateOptions(o ExhaustiveOptions) error {
+// CompatibleWithOptions reports whether the checkpoint can be resumed
+// under the configuration and exploration options: the same thread
+// count, buffer size, memory model and drain stage, the reorder bound
+// the frontier was pruned under, the same DPOR mode, and the same phase
+// label when both sides carry one. It is the one resume check:
+// ExploreExhaustive panics on its error, and callers holding externally
+// supplied checkpoints (a spool directory, a wire request) call it first
+// to reject a mismatch gracefully.
+func (cp *Checkpoint) CompatibleWithOptions(c Config, o ExhaustiveOptions) error {
+	c, err := c.withDefaults()
+	if err != nil {
+		return err
+	}
+	o = o.withDefaults()
+	switch {
+	case cp.Threads != c.Threads:
+		return fmt.Errorf("tso: checkpoint is for %d threads, config has %d", cp.Threads, c.Threads)
+	case cp.BufferSize != c.BufferSize:
+		return fmt.Errorf("tso: checkpoint is for S=%d, config has S=%d", cp.BufferSize, c.BufferSize)
+	case cp.Model != c.Model.String():
+		return fmt.Errorf("tso: checkpoint is for %s, config is %s", cp.Model, c.Model)
+	case cp.DrainBuffer != c.DrainBuffer:
+		return fmt.Errorf("tso: checkpoint and config disagree on the drain stage")
+	}
 	if want := max(o.MaxReorderings, 0); cp.Reorder != want {
 		name := func(k int) string {
 			if k == 0 {
@@ -238,22 +241,6 @@ func (cp *Checkpoint) validateOptions(o ExhaustiveOptions) error {
 	if cp.Label != "" && o.Label != "" && cp.Label != o.Label {
 		return fmt.Errorf("%w: checkpoint is labeled %q, options say %q",
 			ErrResumeLabel, cp.Label, o.Label)
-	}
-	return nil
-}
-
-// validate rejects resuming under a configuration that would make the
-// checkpointed prefixes meaningless.
-func (cp *Checkpoint) validate(c Config) error {
-	switch {
-	case cp.Threads != c.Threads:
-		return fmt.Errorf("tso: checkpoint is for %d threads, config has %d", cp.Threads, c.Threads)
-	case cp.BufferSize != c.BufferSize:
-		return fmt.Errorf("tso: checkpoint is for S=%d, config has S=%d", cp.BufferSize, c.BufferSize)
-	case cp.Model != c.Model.String():
-		return fmt.Errorf("tso: checkpoint is for %s, config is %s", cp.Model, c.Model)
-	case cp.DrainBuffer != c.DrainBuffer:
-		return fmt.Errorf("tso: checkpoint and config disagree on the drain stage")
 	}
 	return nil
 }
@@ -287,17 +274,21 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 		panic(err)
 	}
 	e := &mcEngine{cfg: c, mk: mkProgs, outcome: outcome, opts: o, bound: o.MaxReorderings}
-	if o.Prune {
-		e.memo = newMemoTable(o.memoStripes, o.memoLimit)
-	}
 
 	start := o.Resume
 	if start == nil {
 		start = e.frontier()
-	} else if err := start.validate(c); err != nil {
+	} else if err := start.CompatibleWithOptions(c, o); err != nil {
 		panic(err)
-	} else if err := start.validateOptions(o); err != nil {
-		panic(err)
+	}
+	var memoBase MemoStats
+	if o.Prune {
+		e.memo = start.memo
+		if e.memo == nil || e.memo.scope != newMemoScope(o) {
+			e.memo = newMemoTable(o.memoStripes, o.memoLimit)
+			e.memo.scope = newMemoScope(o)
+		}
+		memoBase = e.memo.stats()
 	}
 	fold := NewFold(c.Threads)
 	fold.AddBase(start)
@@ -393,10 +384,11 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 	}
 	set, res := fold.Result(len(open) == 0)
 	if e.memo != nil {
-		res.Memo = e.memo.stats()
+		res.Memo = e.memo.stats().since(memoBase)
 	}
 	if len(open) > 0 {
 		res.Checkpoint, _ = fold.Checkpoint(c, open)
+		res.Checkpoint.memo = e.memo
 	}
 	return set, res
 }
@@ -436,8 +428,8 @@ func (e *mcEngine) probeFanout(m *Machine, root, rootFan []int) int {
 
 // frontier partitions the decision tree into roughly opts.Units work
 // units by breadth-first probe runs — a node with fanout f is replaced by
-// its f child prefixes until the target is met — and returns them as a
-// zero-progress checkpoint. The unit roots partition the tree's schedules
+// its f child prefixes until the target is met — and returns them, in
+// depth-first order, as a zero-progress checkpoint. The unit roots partition the tree's schedules
 // exactly, so merging unit results never double-counts; the choice points
 // consumed by splitting are recorded in the checkpoint's Tree to keep the
 // reported tree statistics whole.
@@ -495,5 +487,10 @@ func (e *mcEngine) frontier() *Checkpoint {
 	for _, p := range q {
 		unit(p)
 	}
+	// Depth-first unit order: a sequential walk of the units then visits
+	// schedules in the order an unsplit exploration does, so the memo
+	// credits the later of two converging subtrees and the smallest
+	// executed schedule per outcome (the witness) is the unsplit one's.
+	slices.SortFunc(cp.Units, func(a, b UnitCheckpoint) int { return slices.Compare(a.Root, b.Root) })
 	return cp
 }

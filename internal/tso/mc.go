@@ -145,7 +145,10 @@ type ExhaustiveOptions struct {
 	// Resume continues a budget-interrupted exploration from its
 	// serialized frontier. The configuration must match the one that
 	// produced the checkpoint. MaxRuns is a fresh budget for this call;
-	// reported Runs accumulate across resumes.
+	// reported Runs accumulate across resumes. A checkpoint written in
+	// this process also hands over its exploration's memo table
+	// (Checkpoint.memo), so the resume must explore the same program
+	// with the same outcome function — which its counts already assume.
 	Resume *Checkpoint
 
 	// Interrupt, when non-nil, stops the exploration early once it

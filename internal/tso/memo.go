@@ -22,7 +22,9 @@ import "sync"
 
 // MemoStats describes the memo arena at the end of an exploration — the
 // saturation signals (occupancy, evictions) and the stripe-lock
-// contention the table absorbed. All zero when pruning was off.
+// contention the table absorbed. All zero when pruning was off. An
+// exploration that continues a resumed checkpoint's table reports what it
+// added to it, so the stats of a chain of legs sum to the table's.
 type MemoStats struct {
 	// Stripes is the number of lock stripes the arena ran with.
 	Stripes int `json:"stripes,omitempty"`
@@ -37,6 +39,16 @@ type MemoStats struct {
 	// Contended counts lock acquisitions that found the stripe lock held
 	// by another worker — the direct measure of memo-table contention.
 	Contended int64 `json:"contended,omitempty"`
+}
+
+// since returns the statistics s accumulated after base, a snapshot of
+// the same table: what one exploration added to a table it continued.
+func (s MemoStats) since(base MemoStats) MemoStats {
+	s.Entries -= base.Entries
+	s.Admitted -= base.Admitted
+	s.Evicted -= base.Evicted
+	s.Contended -= base.Contended
+	return s
 }
 
 func (s *MemoStats) merge(o MemoStats) {
@@ -79,6 +91,21 @@ type memoTable struct {
 	stripes []memoStripe
 	mask    uint64
 	perCap  int // per-stripe entry capacity (memoLimit / stripes, >= 1)
+	scope   memoScope
+}
+
+// memoScope is what an entry's aggregate depends on besides its state
+// key: sleep sets reduce the counts below a state and the step limit
+// truncates its runs. A resumed exploration continues its checkpoint's
+// table only under the same scope (the reorder bound is hashed into the
+// key, and resume refuses a different one anyway).
+type memoScope struct {
+	sleepSets bool
+	maxSteps  int64
+}
+
+func newMemoScope(o ExhaustiveOptions) memoScope {
+	return memoScope{sleepSets: o.SleepSets, maxSteps: o.MaxStepsPerRun}
 }
 
 // newMemoTable sizes the arena: stripes rounded up to a power of two,

@@ -1,6 +1,7 @@
 package tso
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -119,5 +120,60 @@ func TestFoldReportsMemoStats(t *testing.T) {
 	_, res := fold.Result(true)
 	if res.Memo.Entries == 0 || res.Memo.Admitted == 0 || res.Memo.Stripes == 0 {
 		t.Fatalf("folded memo stats empty: %+v", res.Memo)
+	}
+}
+
+// TestResumeContinuesMemoTable: a checkpoint resumed in the process that
+// wrote it hands its exploration's memo table to the resume, so legs of
+// one exploration dedup across their boundaries almost as the
+// uninterrupted exploration does, and their memo stats sum to the one
+// table's. A checkpoint that went through the codec starts an empty table
+// every leg, which on IRIW costs orders of magnitude more runs.
+func TestResumeContinuesMemoTable(t *testing.T) {
+	mk, out := iriwProgs()
+	cfg := Config{Threads: 4, BufferSize: 1}
+	opts := ExhaustiveOptions{Prune: true, Units: 8}
+	want, wantRes := ExploreExhaustive(cfg, mk, out, opts)
+
+	// legs explores in 200-run legs until complete or past maxRuns.
+	legs := func(decode bool, maxRuns int) (OutcomeSet, ExploreResult, MemoStats) {
+		leg := opts
+		leg.MaxRuns = 200
+		var memo MemoStats
+		for {
+			set, res := ExploreExhaustive(cfg, mk, out, leg)
+			memo.merge(res.Memo)
+			if res.Complete || res.Runs > maxRuns {
+				return set, res, memo
+			}
+			leg.Resume = res.Checkpoint
+			if decode {
+				var buf bytes.Buffer
+				if err := (BinaryCodec{}).EncodeCheckpoint(&buf, res.Checkpoint); err != nil {
+					t.Fatal(err)
+				}
+				cp, err := (BinaryCodec{}).DecodeCheckpoint(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				leg.Resume = cp
+			}
+		}
+	}
+	kept, keptRes, keptMemo := legs(false, 10*wantRes.Runs)
+	if !keptRes.Complete || !reflect.DeepEqual(kept.Counts, want.Counts) {
+		t.Fatalf("legs continuing one memo table: complete %v counts %v, want %v", keptRes.Complete, kept.Counts, want.Counts)
+	}
+	// Subtrees a leg boundary cuts are never memoized, so the legs may
+	// run a little more than the uninterrupted exploration.
+	if keptRes.Runs > wantRes.Runs*5/4 {
+		t.Fatalf("legs continuing one memo table executed %d runs, uninterrupted %d", keptRes.Runs, wantRes.Runs)
+	}
+	if keptMemo.Entries > wantRes.Memo.Entries || keptMemo.Admitted != int64(keptMemo.Entries) {
+		t.Fatalf("legs' memo stats %+v do not sum to one table's (uninterrupted %+v)", keptMemo, wantRes.Memo)
+	}
+	if _, coldRes, _ := legs(true, 4*keptRes.Runs); coldRes.Complete {
+		t.Fatalf("legs through the codec finished within %d runs (kept table: %d): the litmus no longer shows the handover",
+			coldRes.Runs, keptRes.Runs)
 	}
 }

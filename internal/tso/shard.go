@@ -3,12 +3,13 @@ package tso
 // This file exports the shard-level entry points of the exhaustive
 // engine: splitting a program's decision tree into distributable work
 // units without exploring it (ShardFrontier), decomposing a checkpoint
-// into independently explorable single-unit shards (Checkpoint.Shards),
-// and folding shard results back into one total (Fold). Fold is the one
-// place progress merges: ExploreExhaustive folds its own work units
-// through it too. The verification service (internal/serve) is the
-// primary consumer: its dispatcher ships shards to a worker pool and
-// folds the slices as they complete.
+// into its progress and its zero-progress remainder, whole
+// (Checkpoint.Frontier) or as independently explorable single-unit
+// shards (Checkpoint.Shards), and folding explorations back into one
+// total (Fold). Fold is the one place progress merges: ExploreExhaustive
+// folds its own work units through it too. The verification service
+// (internal/serve) is the primary consumer: each job's slices resume its
+// whole frontier in turn and fold their deltas as they complete.
 
 import "sync"
 
@@ -107,6 +108,21 @@ func (cp *Checkpoint) Shards() (base *Checkpoint, shards []*Checkpoint) {
 	return base, shards
 }
 
+// Frontier returns the checkpoint's unexplored work units under its
+// identity and with no progress: the undivided form of Shards. Resuming
+// it explores exactly the remainder and yields a pure delta, which a
+// Fold holding the progress adds. The returned checkpoint shares no
+// mutable state with cp except the in-memory memo table of the
+// exploration that wrote cp, which a resume of either continues.
+func (cp *Checkpoint) Frontier() *Checkpoint {
+	f := cp.empty()
+	for _, u := range cp.Units {
+		f.Units = append(f.Units, cloneUnit(u))
+	}
+	f.memo = cp.memo
+	return f
+}
+
 // Fold accumulates explorations into one total: the base progress of a
 // checkpoint (AddBase) plus any number of zero-progress deltas (Add),
 // merged by Checkpoint.add. ExploreExhaustive folds its in-process work
@@ -130,8 +146,9 @@ func NewFold(threads int) *Fold {
 
 // AddBase folds the accumulated progress of a checkpoint — counts,
 // witnesses, run tallies, occupancy, tree/prune statistics — ignoring its
-// units. Call it once with the base of Checkpoint.Shards (or a resumed
-// spool snapshot) before folding shard results. The base's phase label,
+// units. Call it once with the checkpoint an exploration resumes (the
+// base of Checkpoint.Shards, or a spooled snapshot) before folding the
+// deltas of its Frontier or its shards. The base's phase label,
 // reorder bound and DPOR mode carry into every checkpoint the fold writes.
 func (f *Fold) AddBase(cp *Checkpoint) {
 	f.mu.Lock()
@@ -141,7 +158,8 @@ func (f *Fold) AddBase(cp *Checkpoint) {
 }
 
 // Add folds one exploration's delta — the OutcomeSet and ExploreResult of
-// an ExploreExhaustive call resumed from a zero-progress shard checkpoint.
+// an ExploreExhaustive call resumed from a zero-progress checkpoint (a
+// Frontier or a shard).
 func (f *Fold) Add(set OutcomeSet, res ExploreResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
