@@ -135,8 +135,7 @@ func lossyScenario() oracle.Scenario {
 	return oracle.Scenario{
 		Name:   "broken-WS-MULT lossy mutant",
 		Config: tso.Config{Threads: 2, BufferSize: 2},
-		Build: func(m *tso.Machine) ([]func(tso.Context), *oracle.History) {
-			h := oracle.NewHistory()
+		Build: func(m *tso.Machine, h *oracle.History) []func(tso.Context) {
 			q := oracle.Instrument(newBrokenWSMultLossy(m, 8, 2), h)
 			q.Prefill(m, []uint64{1})
 			h.ExpectDrained()
@@ -151,7 +150,7 @@ func lossyScenario() oracle.Scenario {
 			thief := func(c tso.Context) {
 				q.Steal(c)
 			}
-			return []func(tso.Context){thief, worker}, h
+			return []func(tso.Context){thief, worker}
 		},
 	}
 }
@@ -164,8 +163,7 @@ func stuckScenario() oracle.Scenario {
 	return oracle.Scenario{
 		Name:   "broken-WS-MULT stuck mutant",
 		Config: tso.Config{Threads: 2, BufferSize: 2},
-		Build: func(m *tso.Machine) ([]func(tso.Context), *oracle.History) {
-			h := oracle.NewHistory()
+		Build: func(m *tso.Machine, h *oracle.History) []func(tso.Context) {
 			q := oracle.Instrument(newBrokenWSMultStuck(m, 8), h)
 			q.Prefill(m, []uint64{1, 2})
 			worker := func(c tso.Context) {
@@ -176,7 +174,7 @@ func stuckScenario() oracle.Scenario {
 				q.Steal(c)
 				q.Steal(c)
 			}
-			return []func(tso.Context){thief, worker}, h
+			return []func(tso.Context){thief, worker}
 		},
 	}
 }

@@ -93,8 +93,7 @@ func brokenScenario() oracle.Scenario {
 	return oracle.Scenario{
 		Name:   "broken-CL mutant",
 		Config: tso.Config{Threads: 2, BufferSize: 2},
-		Build: func(m *tso.Machine) ([]func(tso.Context), *oracle.History) {
-			h := oracle.NewHistory()
+		Build: func(m *tso.Machine, h *oracle.History) []func(tso.Context) {
 			q := oracle.Instrument(newBrokenCL(m, 8), h)
 			q.Prefill(m, []uint64{1, 2})
 			h.ExpectDrained()
@@ -110,7 +109,7 @@ func brokenScenario() oracle.Scenario {
 					return
 				}
 			}
-			return []func(tso.Context){thief, worker}, h
+			return []func(tso.Context){thief, worker}
 		},
 	}
 }

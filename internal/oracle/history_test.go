@@ -19,12 +19,8 @@ func TestHistoryReplayIdentical(t *testing.T) {
 	sc := p.Scenario()
 	choices := []int{2, 1, 0, 2, 2, 1, 0, 1, 2, 0, 1, 1, 2, 0, 2}
 	replay := func() []Event {
-		var h *History
-		mk := func(m *tso.Machine) []func(tso.Context) {
-			progs, hist := sc.Build(m)
-			h = hist
-			return progs
-		}
+		h := NewHistory()
+		mk := func(m *tso.Machine) []func(tso.Context) { return sc.Build(m, h) }
 		if err := tso.ReplaySchedule(sc.Config, mk, choices, nil); err != nil {
 			t.Fatalf("replay: %v", err)
 		}

@@ -240,8 +240,8 @@ func TestSamplingCounterexampleTraceIsRerun(t *testing.T) {
 	defer m.Close()
 	tr := tso.NewRingTracer(traceWindow)
 	m.SetTracer(tr)
-	progs, h := sc.Build(m)
-	if err := m.Run(progs...); err != nil {
+	h := NewHistory()
+	if err := m.Run(sc.Build(m, h)...); err != nil {
 		t.Fatal(err)
 	}
 	if got := RenderVerdict(Precise{}.Check(h)); got != ce.Outcome {

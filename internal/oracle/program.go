@@ -66,7 +66,7 @@ func (p Program) Spec() Spec {
 
 // Scenario compiles the program into a runnable oracle scenario. The
 // returned Build is safe for the exhaustive engine's parallel workers:
-// every call constructs a fresh queue and history.
+// every call constructs a fresh queue recording into the given history.
 func (p Program) Scenario() Scenario {
 	capacity := p.Capacity
 	if capacity == 0 {
@@ -75,8 +75,7 @@ func (p Program) Scenario() Scenario {
 	return Scenario{
 		Name:   p.String(),
 		Config: p.Config(),
-		Build: func(m *tso.Machine) ([]func(tso.Context), *History) {
-			h := NewHistory()
+		Build: func(m *tso.Machine, h *History) []func(tso.Context) {
 			q := Instrument(core.New(p.Algo, m, capacity, p.Delta), h)
 			if p.Prefill > 0 {
 				vals := make([]uint64, p.Prefill)
@@ -117,7 +116,7 @@ func (p Program) Scenario() Scenario {
 					}
 				})
 			}
-			return progs, h
+			return progs
 		},
 	}
 }

@@ -7,19 +7,21 @@ import (
 )
 
 // Scenario is one oracle-checked workload: a machine configuration plus a
-// factory that builds the per-thread programs and the history they record
-// into. Build is invoked once per explored schedule (concurrently on
-// distinct machines when the exhaustive engine runs parallel workers), so
-// it must construct fresh state — queue, history, task counters — on
-// every call and must not write captured shared state.
+// factory that builds the per-thread programs recording into a history
+// the caller supplies. Build is invoked once per explored schedule
+// (concurrently on distinct machines when the exhaustive engine runs
+// parallel workers), so it must construct fresh per-run state — queue,
+// task counters — on every call and must not write captured shared
+// state. The history arrives empty; Build records into it and does not
+// keep it past the run.
 type Scenario struct {
 	// Name identifies the scenario in reports and corpus files.
 	Name string
 	// Config is the machine configuration the scenario runs under.
 	Config tso.Config
 	// Build allocates the scenario on m and returns one program per
-	// configured thread plus the run's history.
-	Build func(m *tso.Machine) ([]func(tso.Context), *History)
+	// configured thread, wired to record the run's events into h.
+	Build func(m *tso.Machine, h *History) []func(tso.Context)
 }
 
 // Outcomes adapts the scenario to the exhaustive engine's callback pair:
@@ -33,16 +35,21 @@ func (sc Scenario) Outcomes(spec Spec) (mk func(m *tso.Machine) []func(tso.Conte
 		spec = Precise{}
 	}
 	// The engines call mk and out for the same run on the same worker and
-	// machine; the map carries each machine's current history from one to
-	// the other across the engine's reuse of machines.
+	// machine, one run at a time per machine. Each machine therefore owns
+	// one history for the pair's lifetime, reset at every mk and read by
+	// the out that follows; its event backing is reused across the runs.
 	var mu sync.Mutex
 	hists := map[*tso.Machine]*History{}
 	mk = func(m *tso.Machine) []func(tso.Context) {
-		progs, h := sc.Build(m)
 		mu.Lock()
-		hists[m] = h
+		h := hists[m]
+		if h == nil {
+			h = NewHistory()
+			hists[m] = h
+		}
 		mu.Unlock()
-		return progs
+		h.Reset()
+		return sc.Build(m, h)
 	}
 	out = func(m *tso.Machine) string {
 		mu.Lock()
@@ -241,8 +248,8 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 		defer m.Close()
 		for seed := 0; seed < opts.SampleRuns; seed++ {
 			m.ResetSeed(int64(seed))
-			progs, h := sc.Build(m)
-			if err := m.Run(progs...); err != nil {
+			h := NewHistory()
+			if err := m.Run(sc.Build(m, h)...); err != nil {
 				continue
 			}
 			viols := spec.Check(h)
@@ -252,8 +259,7 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 			tr := tso.NewRingTracer(traceWindow)
 			m.SetTracer(tr)
 			m.ResetSeed(int64(seed))
-			progs, _ = sc.Build(m)
-			m.Run(progs...)
+			m.Run(sc.Build(m, NewHistory())...)
 			return &Counterexample{
 				Outcome:    RenderVerdict(viols),
 				Violations: viols,
@@ -266,9 +272,8 @@ func FindCounterexample(sc Scenario, spec Spec, opts RunOptions) *Counterexample
 	var ce *Counterexample
 	var hist *History
 	mk := func(m *tso.Machine) []func(tso.Context) {
-		progs, h := sc.Build(m)
-		hist = h
-		return progs
+		hist = NewHistory()
+		return sc.Build(m, hist)
 	}
 	eopts := tso.ExploreOptions{MaxRuns: opts.MaxSchedules, MaxStepsPerRun: opts.MaxStepsPerRun}
 	tso.ExploreWithChoices(sc.Config, mk, eopts, func(m *tso.Machine, err error, choices []int) bool {
@@ -310,9 +315,8 @@ func Replay(sc Scenario, spec Spec, choices []int) ([]Violation, []string, error
 	mk := func(m *tso.Machine) []func(tso.Context) {
 		tr = tso.NewRingTracer(traceWindow)
 		m.SetTracer(tr)
-		progs, h := sc.Build(m)
-		hist = h
-		return progs
+		hist = NewHistory()
+		return sc.Build(m, hist)
 	}
 	cfg := sc.Config
 	err := tso.ReplaySchedule(cfg, mk, choices, nil)

@@ -71,8 +71,7 @@ func traceReorderings(t *testing.T, sc Scenario, choices []int) int {
 	tr := tso.NewRingTracer(1 << 16)
 	err := tso.ReplaySchedule(sc.Config, func(m *tso.Machine) []func(tso.Context) {
 		m.SetTracer(tr)
-		progs, _ := sc.Build(m)
-		return progs
+		return sc.Build(m, NewHistory())
 	}, choices, nil)
 	if err != nil || tr.Total() >= 1<<16 {
 		t.Fatalf("replay of %v: %v after %d events", choices, err, tr.Total())

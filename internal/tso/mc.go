@@ -60,6 +60,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
@@ -199,24 +200,57 @@ func (o ExhaustiveOptions) withDefaults() ExhaustiveOptions {
 
 // stateKey is a 2×64-bit canonical-state fingerprint. Collisions would be
 // unsound, so the key is wide enough to make them implausible at model-
-// checking scale (two independently seeded FNV-1a passes over the
-// serialized state).
+// checking scale: two word mixers with independent constants and
+// rotations each fold the canonical state one 64-bit word at a time into
+// one half. Neither mixer maps (0, 0) to 0 and neither seed is 0, so no
+// half can sit at a zero fixed point that absorbs runs of zero words, as
+// a zero-seeded FNV-1a hash does.
 type stateKey struct{ a, b uint64 }
 
+// keySeed is the fingerprint of the empty word stream.
+var keySeed = stateKey{mixSeedA, mixSeedB}
+
 const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-	// fnvOffset2 is an arbitrary second basis decorrelating the two passes.
-	fnvOffset2 uint64 = 0x9e3779b97f4a7c15
+	mixSeedA uint64 = 0x243f6a8885a308d3 // π
+	mixSeedB uint64 = 0x13198a2e03707344 // π, next word
+	mixMulA1 uint64 = 0x9e3779b185ebca87
+	mixMulA2 uint64 = 0xc2b2ae3d27d4eb4f
+	mixMulB1 uint64 = 0x87c37b91114253d5
+	mixMulB2 uint64 = 0x4cf5ad432745937f
 )
 
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
+// mixA folds the word v into the running hash h: one xxHash64-style
+// round over v xored with the seed, so mixA(0, 0) is not 0.
+func mixA(h, v uint64) uint64 {
+	return bits.RotateLeft64(h+(v^mixSeedA)*mixMulA2, 31) * mixMulA1
+}
+
+// mixB is mixA's independent twin: other multipliers, another rotation,
+// and an xor where mixA adds.
+func mixB(h, v uint64) uint64 {
+	return bits.RotateLeft64(h^(v^mixSeedB)*mixMulB2, 27) * mixMulB1
+}
+
+// mix returns k with the word v folded into both halves. A value
+// receiver keeps the key in registers across a hashing loop.
+func (k stateKey) mix(v uint64) stateKey {
+	return stateKey{mixA(k.a, v), mixB(k.b, v)}
+}
+
+// historyMix folds one executed request and its response into a thread's
+// history hash as a fixed-width record of four words: kind, ok bit and
+// address packed into the first (addresses index the simulated memory, so
+// they fit the 55 bits above kind and ok), then the request's two
+// operands and the response value.
+func historyMix(h uint64, req *request, resp response) uint64 {
+	head := uint64(req.addr)<<9 | uint64(req.kind)
+	if resp.ok {
+		head |= 1 << 8
 	}
-	return h
+	h = mixA(h, head)
+	h = mixA(h, req.val)
+	h = mixA(h, req.val2)
+	return mixA(h, resp.val)
 }
 
 // memoEntry is the exact aggregate of one fully explored subtree: the
@@ -397,9 +431,9 @@ type mcUnit struct {
 // mcRunner is one worker's reusable execution state: a machine (Reset
 // between schedules instead of rebuilt), the chooser policy driving it
 // with its pre-bound choose/onExec hooks, the per-thread history hashes,
-// and the hashing scratch. Each frontier worker owns exactly one runner
-// for its whole lifetime, so the steady-state exploration loop performs no
-// machine construction and no per-run closure allocation.
+// and the sorting and footprint scratch. Each frontier worker owns exactly
+// one runner for its whole lifetime, so the steady-state exploration loop
+// performs no machine construction and no per-run closure allocation.
 type mcRunner struct {
 	e    *mcEngine
 	m    *Machine
@@ -425,7 +459,6 @@ type mcRunner struct {
 	dp *dporState
 
 	hw          []int         // leaf high-water-mark scratch
-	scratch     []byte        // serialization buffer for state hashing
 	sleepSorted []dsleepEntry // stateKeyFor's sorted-sleep-set scratch
 	fpR, fpW    []fpAddr      // footprintInto scratch for frame footprints
 
@@ -449,34 +482,17 @@ func (e *mcEngine) newRunner() *mcRunner {
 	r := &mcRunner{e: e, m: NewMachine(c), pol: &chooserPolicy{}}
 	r.pol.choose = r.choose
 	if e.opts.Prune {
-		// The rolling hashes MUST start from the FNV offset basis, not 0:
-		// 0 is a fixed point of FNV-1a under zero bytes, so a zero-seeded
-		// hash cannot tell apart histories that differ only by a prefix of
-		// all-zero records (e.g. repeated loads of address 0 reading 0 —
-		// exactly a thief polling an untouched head index). Such
-		// different-length histories would share a key and falsely merge
-		// their subtrees.
+		// Each rolling history hash starts from a nonzero seed and mixes
+		// a fixed-width record per request: a zero seed under a mixer with
+		// a zero fixed point could not tell apart histories that differ
+		// only by a prefix of all-zero records (repeated loads of address 0
+		// reading 0 — exactly a thief polling an untouched head index),
+		// and a variable-width record would leave the stream ambiguous.
+		// Such histories would share a key and falsely merge their
+		// subtrees.
 		r.hist = make([]uint64, c.Threads)
-		for i := range r.hist {
-			r.hist[i] = fnvOffset
-		}
 		r.pol.onExec = func(req *request, resp response) {
-			h := r.hist[req.tid]
-			h = fnvMix(h, uint64(req.kind))
-			h = fnvMix(h, uint64(req.addr))
-			h = fnvMix(h, req.val)
-			h = fnvMix(h, req.val2)
-			h = fnvMix(h, resp.val)
-			// The ok bit is mixed unconditionally so every executed request
-			// contributes a fixed-width record; mixing it only when set would
-			// leave the stream ambiguous between an ok bit and a following
-			// request whose kind is 1.
-			var ok uint64
-			if resp.ok {
-				ok = 1
-			}
-			h = fnvMix(h, ok)
-			r.hist[req.tid] = h
+			r.hist[req.tid] = historyMix(r.hist[req.tid], req, resp)
 		}
 	}
 	if e.opts.DPOR {
@@ -537,35 +553,27 @@ func reorderDelta(m *Machine, act action) int {
 // request/response histories, plus the arriving sleep set (two states
 // explored under different sleep sets have different residual subtrees,
 // so the sleep set is part of the identity in SleepSets mode). Outside
-// DPOR a sleep set holds only drains, hashed as sorted (thread, drain
-// effect address) pairs.
+// DPOR a sleep set holds only drains, hashed as its size and then sorted
+// (thread, drain effect address) pairs. Every variable-length component
+// is preceded by its length, so each word lands at a fixed position.
 func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []dsleepEntry) stateKey {
-	buf := r.scratch[:0]
-	put := func(v uint64) {
-		buf = append(buf,
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	put(uint64(m.steps))
-	put(uint64(m.next))
-	for a := Addr(0); a < m.next; a++ {
-		put(m.mem.words[a])
+	k := keySeed.mix(uint64(m.steps)).mix(uint64(m.next))
+	for _, w := range m.mem.words[:m.next] {
+		k = k.mix(w)
 	}
 	for tid, b := range m.bufs {
-		put(uint64(tid)<<32 | uint64(len(b.entries)))
+		k = k.mix(uint64(tid)<<32 | uint64(len(b.entries)))
 		for _, en := range b.entries {
-			put(uint64(en.addr))
-			put(en.val)
+			k = k.mix(uint64(en.addr)).mix(en.val)
 		}
 		if b.hasStage {
-			put(1)
-			put(uint64(b.stage.addr))
-			put(b.stage.val)
+			k = k.mix(1).mix(uint64(b.stage.addr)).mix(b.stage.val)
 		} else {
-			put(0)
+			k = k.mix(0)
 		}
-		put(hist[tid])
+		k = k.mix(hist[tid])
 	}
+	k = k.mix(uint64(len(sleep)))
 	if len(sleep) > 0 {
 		// Sort into the runner's scratch: this runs once per visited
 		// state, so a per-key copy would dominate the allocation profile.
@@ -579,24 +587,17 @@ func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []dsleepEntry) s
 		r.sleepSorted = sorted
 		for _, t := range sorted {
 			tid := int(t.proc) - len(m.bufs)
-			put(uint64(tid)<<32 ^ uint64(drainFPEffect(t.fp)))
+			k = k.mix(uint64(tid)<<32 ^ uint64(drainFPEffect(t.fp)))
 		}
 	}
 	if r.e.bound >= 0 {
 		// Bounded mode: two otherwise-identical machine states with
 		// different consumed reorder counts have different residual
 		// budgets, hence different admissible subtrees — the count is part
-		// of the canonical identity. Unbounded explorations hash the exact
-		// byte stream they always did.
-		put(uint64(r.reorder))
+		// of the canonical identity.
+		k = k.mix(uint64(r.reorder))
 	}
-	r.scratch = buf
-	ka, kb := fnvOffset, fnvOffset2
-	for _, c := range buf {
-		ka = (ka ^ uint64(c)) * fnvPrime
-		kb = (kb ^ uint64(c)) * fnvPrime
-	}
-	return stateKey{ka, kb}
+	return k
 }
 
 // childSleep computes the sleep set arriving at the child reached from
@@ -873,7 +874,7 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 	r.credit = nil
 	r.reorder = 0
 	for i := range r.hist {
-		r.hist[i] = fnvOffset
+		r.hist[i] = mixSeedA
 	}
 	m := r.m
 	m.Reset()

@@ -390,10 +390,12 @@ func TestSampleOutcomesMatchesChaosRuns(t *testing.T) {
 // CAS-heavy program whose thief begins by polling an untouched address: a
 // self-contained port of the FF-CL duel the semantic oracle runs. It is a
 // regression test for two ways the per-thread history hash could merge
-// distinct histories: a zero-seeded rolling FNV (0 is a fixed point under
-// the all-zero record of "load address 0, read 0", so history lengths
-// vanish) and an ok bit mixed only when set (ambiguous against a following
-// request of kind 1).
+// distinct histories: a rolling hash stuck at a fixed point under the
+// all-zero record of "load address 0, read 0" (a zero seed under a mixer
+// that maps (0, 0) to 0, so history lengths vanish) and a variable-width
+// record (an ok bit mixed only when set is ambiguous against a following
+// request of kind 1). TestStateKeySeparates checks the same two
+// properties on the mixers directly.
 func TestExhaustivePruneHistorySeed(t *testing.T) {
 	mk := func(m *Machine) []func(Context) {
 		H := m.Alloc(1)
@@ -451,5 +453,82 @@ func TestExhaustivePruneHistorySeed(t *testing.T) {
 	}
 	if res2.Prune.StatesDeduped == 0 {
 		t.Fatalf("no dedup on the duel: %+v", res2.Prune)
+	}
+}
+
+// TestStateKeySeparates changes one hashed component of a machine state at
+// a time and requires the two state keys to differ in both 64-bit halves,
+// so neither mixer alone can merge them. The zero-valued cases are the
+// ones a mixer with a fixed point under zero input would merge: a zero
+// buffer entry, a zero stage, a zero history record, a zero sleep entry.
+func TestStateKeySeparates(t *testing.T) {
+	type state struct {
+		m     *Machine
+		r     *mcRunner
+		hist  []uint64
+		sleep []dsleepEntry
+	}
+	base := func() *state {
+		m := NewMachine(Config{Threads: 2, BufferSize: 3, DrainBuffer: true})
+		t.Cleanup(m.Close)
+		m.Alloc(4)
+		m.Poke(1, 7)
+		m.steps = 5
+		m.bufs[0].entries = append(m.bufs[0].entries, entry{addr: 2, val: 9})
+		return &state{m: m, r: &mcRunner{e: &mcEngine{bound: -1}}, hist: []uint64{mixSeedA, mixSeedA}}
+	}
+	zeros := func(k int) func(s *state) {
+		return func(s *state) { s.m.bufs[1].entries = make([]entry, k) }
+	}
+	bounded := func(reorder int) func(s *state) {
+		return func(s *state) { s.r.e.bound, s.r.reorder = 2, reorder }
+	}
+	record := func(ok bool) func(s *state) {
+		return func(s *state) { s.hist[1] = historyMix(s.hist[1], &request{kind: opCAS}, response{ok: ok}) }
+	}
+	same := func(*state) {}
+	cases := []struct {
+		name string
+		a, b func(s *state)
+	}{
+		{"memory word", same, func(s *state) { s.m.Poke(3, 1) }},
+		{"m.next", same, func(s *state) { s.m.Alloc(1) }},
+		{"m.steps", same, func(s *state) { s.m.steps++ }},
+		{"buffer entry address", same, func(s *state) { s.m.bufs[0].entries[0].addr++ }},
+		{"buffer entry value", same, func(s *state) { s.m.bufs[0].entries[0].val++ }},
+		{"0 vs 1 zero entries", zeros(0), zeros(1)},
+		{"1 vs 2 zero entries", zeros(1), zeros(2)},
+		{"2 vs 3 zero entries", zeros(2), zeros(3)},
+		{"zero stage vs none", same, func(s *state) { s.m.bufs[1].hasStage = true }},
+		{"history word", same, func(s *state) { s.hist[1] = historyMix(s.hist[1], &request{}, response{}) }},
+		{"history ok bit", record(false), record(true)},
+		{"one sleep entry", same, func(s *state) { s.sleep = []dsleepEntry{{proc: 2}} }},
+		{"reorder count", bounded(0), bounded(1)},
+	}
+	for _, c := range cases {
+		sa, sb := base(), base()
+		c.a(sa)
+		c.b(sb)
+		ka := sa.r.stateKeyFor(sa.m, sa.hist, sa.sleep)
+		kb := sb.r.stateKeyFor(sb.m, sb.hist, sb.sleep)
+		if ka.a == kb.a || ka.b == kb.b {
+			t.Errorf("%s: keys %x and %x share a half", c.name, ka, kb)
+		}
+	}
+
+	if mixA(0, 0) == 0 || mixB(0, 0) == 0 || mixSeedA == 0 || mixSeedB == 0 {
+		t.Fatal("a mixer maps (0, 0) to 0 or a seed is 0")
+	}
+	// Runs of zero words, and of all-zero history records, never repeat a
+	// state: 0..64 of them give 65 distinct values in every half.
+	seenA, seenB, seenH := map[uint64]bool{}, map[uint64]bool{}, map[uint64]bool{}
+	k, h := keySeed, mixSeedA
+	for n := 0; n <= 64; n++ {
+		if seenA[k.a] || seenB[k.b] || seenH[h] {
+			t.Fatalf("%d zero words repeat an earlier state", n)
+		}
+		seenA[k.a], seenB[k.b], seenH[h] = true, true, true
+		k = k.mix(0)
+		h = historyMix(h, &request{}, response{})
 	}
 }

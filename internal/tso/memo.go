@@ -11,8 +11,9 @@ package tso
 // policy was: entries are exact immutable aggregates consulted only for
 // dedup, so losing one can cost re-exploration but never moves a count.
 //
-// The stripe is chosen from the key's first fingerprint word, which the
-// double-FNV hashing already distributes uniformly; workers exploring
+// The stripe is chosen from the low bits of the key's first fingerprint
+// word, whose mixer ends every round with a rotate and an odd multiply,
+// so those bits depend on the whole state; workers exploring
 // different subtrees therefore contend only when they genuinely converge
 // on the same stripe, and the contended counter (lock acquisitions that
 // found the lock held) makes the residual contention observable — the
