@@ -46,9 +46,11 @@ func iriwProgs() (func(m *tso.Machine) []func(tso.Context), func(m *tso.Machine)
 // checkpoint's wire cost per unit. It only runs when
 // BENCH_EXPLORE_OUT names an output file, where it writes a one-object
 // JSON summary (CI uploads it as the BENCH_explore.json artifact). The
-// checked-in copy under results/ doubles as a regression gate: executed-
-// run counts are deterministic, so any count more than 25% above its
-// reference value fails the bench.
+// checked-in copy under results/ doubles as a regression gate: any
+// executed-run count more than 25% above its reference value fails the
+// bench. The Parallel: 4 Prune counts depend on which worker reaches a
+// shared state first, so they vary from run to run; the sequential Prune
+// counts (the _seq columns) and the DPOR counts repeat exactly.
 func TestBenchExplore(t *testing.T) {
 	out := os.Getenv("BENCH_EXPLORE_OUT")
 	if out == "" {
@@ -78,6 +80,19 @@ func TestBenchExplore(t *testing.T) {
 	ffclSecs := time.Since(start).Seconds()
 	if !ffclRes.Complete {
 		t.Fatalf("FF-CL duel exploration incomplete after %d executed runs", ffclRes.Runs)
+	}
+
+	// The same two Prune explorations on one worker, whose counts repeat.
+	_, iriwSeqRes := tso.ExploreExhaustive(iriwCfg, iriwMk, iriwOut, tso.ExhaustiveOptions{
+		ExploreOptions: tso.ExploreOptions{MaxRuns: 1 << 22},
+		Prune:          true,
+	})
+	_, ffclSeqRes := tso.ExploreExhaustive(ffclCfg, ffclMk, ffclOut, tso.ExhaustiveOptions{
+		ExploreOptions: tso.ExploreOptions{MaxRuns: 1 << 22},
+		Prune:          true,
+	})
+	if !iriwSeqRes.Complete || !ffclSeqRes.Complete {
+		t.Fatalf("sequential Prune explorations incomplete: IRIW %d runs, FF-CL %d runs", iriwSeqRes.Runs, ffclSeqRes.Runs)
 	}
 
 	// The same two workloads under source-set DPOR. The executed-run
@@ -133,11 +148,13 @@ func TestBenchExplore(t *testing.T) {
 	summary := map[string]any{
 		"iriw_schedules":          iriwSet.Total(),
 		"iriw_executed":           iriwRes.Runs,
+		"iriw_seq_executed":       iriwSeqRes.Runs,
 		"iriw_seconds":            iriwSecs,
 		"iriw_dpor_executed":      iriwDRes.Runs,
 		"iriw_dpor_seconds":       iriwDSecs,
 		"ffcl_s2_schedules":       ffclSet.Total(),
 		"ffcl_s2_executed":        ffclRes.Runs,
+		"ffcl_s2_seq_executed":    ffclSeqRes.Runs,
 		"ffcl_s2_seconds":         ffclSecs,
 		"ffcl_s2_dpor_executed":   ffclDRes.Runs,
 		"ffcl_s2_dpor_seconds":    ffclDSecs,
@@ -157,9 +174,9 @@ func TestBenchExplore(t *testing.T) {
 		ffclSet.Total(), ffclSecs, ffclDRes.Runs, ffclRes.Runs, bin.Len(), len(cp.Units))
 
 	// Regression gate against the checked-in reference. Executed-run
-	// counts are deterministic functions of the engine's reduction
-	// machinery (timings are not gated — CI runners jitter), so a count
-	// >25% above its reference value means a reduction regressed.
+	// counts measure the engine's reduction machinery (timings are not
+	// gated — CI runners jitter), so a count >25% above its reference
+	// value means a reduction regressed.
 	ref, err := os.ReadFile("../../results/BENCH_explore.json")
 	if err != nil {
 		t.Fatalf("no checked-in reference to gate against: %v", err)
@@ -171,7 +188,9 @@ func TestBenchExplore(t *testing.T) {
 	for col, got := range map[string]int{
 		"iriw_executed":         iriwRes.Runs,
 		"iriw_dpor_executed":    iriwDRes.Runs,
+		"iriw_seq_executed":     iriwSeqRes.Runs,
 		"ffcl_s2_executed":      ffclRes.Runs,
+		"ffcl_s2_seq_executed":  ffclSeqRes.Runs,
 		"ffcl_s2_dpor_executed": ffclDRes.Runs,
 	} {
 		want, ok := refCols[col]

@@ -3,6 +3,7 @@ package tso
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Source-set dynamic partial-order reduction (ExhaustiveOptions.DPOR),
@@ -92,24 +93,32 @@ func (o ExhaustiveOptions) Validate(c Config) error {
 // proven redundant).
 const dporVCap = 128
 
-// dporState is one runner's per-run DPOR bookkeeping: the executed
-// events (one per choice point, so event index == depth), their vector
-// clocks, and per-address last-writer/readers tables driving race
-// detection. Everything is arena-backed and reset per run.
+// dporState is one runner's DPOR event table: the executed events (one
+// per choice point, so event index == depth, then the end-of-run forced
+// drains), their vector clocks and footprints, and the per-address
+// last-writer/readers tables driving race detection. The table outlives
+// the run that built it. A run replays the previous run's choices up to
+// the depth it first diverges at (mcUnit.freshFrom), and by replay
+// determinism those events are the previous run's, so begin keeps them
+// and undoes only what later events wrote. Every event carries the undo
+// record for that: the lastW and reader-window start of each slot it
+// writes, and its proc's previous latest event. readers[s] is
+// append-only, so undoing an event pops its reads off the tail. The
+// table lives in the process only; a resumed unit rebuilds it.
 type dporState struct {
 	threads int
 	nProcs  int // 2*threads: thread procs then buffer procs
-	base    int // real-address slot count this run; buffer t maps to base+t
+	base    int // real-address slot count; buffer t maps to base+t; -1 before the first begin
 
-	nEvents int
-	procs   []int32    // per event
-	clocks  []int32    // nEvents × nProcs, row-major; clocks[e][q] = index of q's latest event happening-before e, or -1
-	evFP    [][4]int32 // per event: reads offset/len, writes offset/len into arena
-	arena   []fpAddr
+	events []dporEvent
+	clocks []int32    // len(events) × nProcs, row-major; clocks[e][q] = index of q's latest event happening-before e, or -1
+	arena  []fpAddr   // every event's reads then writes
+	undo   []slotUndo // per event, one record per write, in write order
 
 	lastOfProc []int32   // latest event per proc, -1 if none
 	lastW      []int32   // per slot: latest writer event, -1
-	readers    [][]int32 // per slot: reader events since the latest write
+	readers    [][]int32 // per slot: every reader event of the table, in event order
+	rStart     []int32   // per slot: where the readers since lastW begin in readers[s]
 
 	// scratch
 	fpR, fpW []fpAddr
@@ -118,35 +127,75 @@ type dporState struct {
 	seenBuf  []int32
 }
 
-func newDPORState(threads int) *dporState {
-	dp := &dporState{threads: threads, nProcs: 2 * threads}
-	dp.lastOfProc = make([]int32, dp.nProcs)
-	return dp
+// dporEvent is one event of the table: its proc, its footprint's place in
+// the arena, where its write undo records start, and the proc's latest
+// event before it.
+type dporEvent struct {
+	proc                   int32
+	prevOfProc             int32
+	rOff, rLen, wOff, wLen int32
+	uOff                   int32
 }
 
-// begin resets the per-run tables. Called after the run's programs are
-// built (all addresses allocated) and before the first step.
-func (dp *dporState) begin(m *Machine) {
-	dp.base = int(m.next)
-	slots := dp.base + dp.threads
-	if cap(dp.lastW) < slots {
-		dp.lastW = make([]int32, slots)
-		dp.readers = make([][]int32, slots)
-	}
-	dp.lastW = dp.lastW[:slots]
-	dp.readers = dp.readers[:slots]
-	for i := range dp.lastW {
-		dp.lastW[i] = -1
-		dp.readers[i] = dp.readers[i][:0]
-	}
+// slotUndo is what an event's write to a slot overwrote.
+type slotUndo struct{ lastW, rStart int32 }
+
+func newDPORState(threads int) *dporState {
+	dp := &dporState{threads: threads, nProcs: 2 * threads, base: -1}
+	dp.lastOfProc = make([]int32, dp.nProcs)
 	for i := range dp.lastOfProc {
 		dp.lastOfProc[i] = -1
 	}
-	dp.nEvents = 0
-	dp.procs = dp.procs[:0]
-	dp.clocks = dp.clocks[:0]
-	dp.evFP = dp.evFP[:0]
-	dp.arena = dp.arena[:0]
+	return dp
+}
+
+// begin prepares the table for a run whose first keep events are the
+// ones it already holds, truncating every later one. Called after the
+// run's programs are built (all addresses allocated) and before the
+// first step. A run whose address layout differs from the table's keeps
+// nothing; truncating to zero is also how the first run of a unit starts.
+func (dp *dporState) begin(m *Machine, keep int) {
+	base := int(m.next)
+	if base != dp.base {
+		keep = 0
+	}
+	dp.truncate(min(keep, len(dp.events)))
+	if base != dp.base {
+		dp.base = base
+		slots := base + dp.threads
+		dp.lastW, dp.rStart, dp.readers = dp.lastW[:0], dp.rStart[:0], dp.readers[:0]
+		for range slots {
+			dp.lastW = append(dp.lastW, -1)
+			dp.rStart = append(dp.rStart, 0)
+			dp.readers = append(dp.readers, nil)
+		}
+	}
+}
+
+// truncate undoes every event at index >= k, newest first: pop its
+// reads off their reader lists, restore each written slot's writer and
+// reader window, and restore its proc's latest event.
+func (dp *dporState) truncate(k int) {
+	for e := len(dp.events) - 1; e >= k; e-- {
+		ev := &dp.events[e]
+		for _, x := range dp.arena[ev.rOff : ev.rOff+ev.rLen] {
+			s := dp.slot(x)
+			dp.readers[s] = dp.readers[s][:len(dp.readers[s])-1]
+		}
+		writes := dp.arena[ev.wOff : ev.wOff+ev.wLen]
+		for i := len(writes) - 1; i >= 0; i-- {
+			s, u := dp.slot(writes[i]), dp.undo[int(ev.uOff)+i]
+			dp.lastW[s], dp.rStart[s] = u.lastW, u.rStart
+		}
+		dp.lastOfProc[ev.proc] = ev.prevOfProc
+	}
+	if k < len(dp.events) {
+		ev := dp.events[k]
+		dp.arena = dp.arena[:ev.rOff]
+		dp.undo = dp.undo[:ev.uOff]
+		dp.events = dp.events[:k]
+		dp.clocks = dp.clocks[:k*dp.nProcs]
+	}
 }
 
 // slot maps an extended address to its table index.
@@ -166,23 +215,76 @@ func (dp *dporState) clockOf(ev int32) []int32 {
 }
 
 func (dp *dporState) eventFP(ev int32) footprint {
-	f := dp.evFP[ev]
+	e := &dp.events[ev]
 	return footprint{
-		reads:  dp.arena[f[0] : f[0]+f[1]],
-		writes: dp.arena[f[2] : f[2]+f[3]],
+		reads:  dp.arena[e.rOff : e.rOff+e.rLen],
+		writes: dp.arena[e.wOff : e.wOff+e.wLen],
 	}
 }
 
-// dporRecord appends the event for executing act at the current depth,
-// updating clocks and — when the event is fresh (not a replay of an
-// already-scanned prefix) — running race detection, which may add
+// readersSince returns the reader events of slot s since its latest write.
+func (dp *dporState) readersSince(s int) []int32 {
+	return dp.readers[s][dp.rStart[s]:]
+}
+
+// diff describes the first difference between dp and o as event tables
+// of the same path — event procs, clocks and footprints, each slot's
+// latest writer and readers since it, each proc's latest event — or
+// returns "" when they agree. Undo records and reader events older than
+// a slot's latest write are bookkeeping, not table state, and are not
+// compared. It backs the kept-table check ExhaustiveOptions.dporCheck
+// turns on.
+func (dp *dporState) diff(o *dporState) string {
+	if len(dp.events) != len(o.events) || dp.base != o.base {
+		return fmt.Sprintf("%d events over %d addresses, rebuilt %d over %d", len(dp.events), dp.base, len(o.events), o.base)
+	}
+	for e := int32(0); e < int32(len(dp.events)); e++ {
+		a, b := dp.eventFP(e), o.eventFP(e)
+		switch {
+		case dp.events[e].proc != o.events[e].proc:
+			return fmt.Sprintf("event %d: proc %d, rebuilt %d", e, dp.events[e].proc, o.events[e].proc)
+		case !slices.Equal(dp.clockOf(e), o.clockOf(e)):
+			return fmt.Sprintf("event %d: clock %v, rebuilt %v", e, dp.clockOf(e), o.clockOf(e))
+		case !fpEqual(a, b):
+			return fmt.Sprintf("event %d: footprint %v, rebuilt %v", e, a, b)
+		}
+	}
+	if !slices.Equal(dp.lastOfProc, o.lastOfProc) {
+		return fmt.Sprintf("latest event per proc %v, rebuilt %v", dp.lastOfProc, o.lastOfProc)
+	}
+	for s := range dp.lastW {
+		if dp.lastW[s] != o.lastW[s] {
+			return fmt.Sprintf("slot %d: last writer %d, rebuilt %d", s, dp.lastW[s], o.lastW[s])
+		}
+		if !slices.Equal(dp.readersSince(s), o.readersSince(s)) {
+			return fmt.Sprintf("slot %d: readers %v, rebuilt %v", s, dp.readersSince(s), o.readersSince(s))
+		}
+	}
+	return ""
+}
+
+// dporStep records the event of executing act as event ev of the run:
+// into the event table unless the table kept it from the previous run
+// (ev below its length), and into the from-scratch shadow when one is
+// checked against it.
+func (r *mcRunner) dporStep(ev int, act action, fresh bool) {
+	if ev >= len(r.dp.events) {
+		r.dporRecord(r.dp, act, fresh)
+	}
+	if r.shadow != nil {
+		r.dporRecord(r.shadow, act, false)
+	}
+}
+
+// dporRecord appends to dp the event for executing act at the current
+// depth, updating clocks and — when the event is fresh (not a replay of
+// an already-scanned prefix) — running race detection, which may add
 // backtrack points to ancestor frames.
-func (r *mcRunner) dporRecord(act action, fresh bool) {
-	dp := r.dp
+func (r *mcRunner) dporRecord(dp *dporState, act action, fresh bool) {
 	fp := footprintInto(r.m, act, dp.fpR, dp.fpW)
 	dp.fpR, dp.fpW = fp.reads, fp.writes // keep grown scratch
 	p := procFor(dp.threads, act)
-	n := dp.nEvents
+	n := len(dp.events)
 
 	// Materialize the event's clock row: program order from the proc's
 	// previous event, then joins for every conflict edge found below.
@@ -216,7 +318,7 @@ func (r *mcRunner) dporRecord(act action, fresh bool) {
 	// such a path would pass through an intermediate event, and races
 	// are exactly the conflict pairs with no intermediate.
 	check := func(w int32) {
-		if fresh && dp.procs[w] != p && clk[dp.procs[w]] < w {
+		if fresh && dp.events[w].proc != p && clk[dp.events[w].proc] < w {
 			r.dporRace(w, p, fp)
 		}
 	}
@@ -233,32 +335,36 @@ func (r *mcRunner) dporRecord(act action, fresh bool) {
 			check(w)
 			join(w)
 		}
-		for _, rd := range dp.readers[s] {
+		for _, rd := range dp.readersSince(s) {
 			check(rd)
 			join(rd)
 		}
 	}
+	uOff := int32(len(dp.undo))
 	for _, x := range fp.writes {
 		s := dp.slot(x)
+		dp.undo = append(dp.undo, slotUndo{dp.lastW[s], dp.rStart[s]})
 		dp.lastW[s] = int32(n)
-		dp.readers[s] = dp.readers[s][:0]
+		dp.rStart[s] = int32(len(dp.readers[s]))
 	}
 	for _, x := range fp.reads {
 		s := dp.slot(x)
 		dp.readers[s] = append(dp.readers[s], int32(n))
 	}
-	dp.lastOfProc[p] = int32(n)
-	dp.procs = append(dp.procs, p)
 	rOff := int32(len(dp.arena))
 	dp.arena = append(dp.arena, fp.reads...)
 	wOff := int32(len(dp.arena))
 	dp.arena = append(dp.arena, fp.writes...)
-	dp.evFP = append(dp.evFP, [4]int32{rOff, int32(len(fp.reads)), wOff, int32(len(fp.writes))})
-	dp.nEvents = n + 1
+	dp.events = append(dp.events, dporEvent{
+		proc: p, prevOfProc: dp.lastOfProc[p],
+		rOff: rOff, rLen: int32(len(fp.reads)), wOff: wOff, wLen: int32(len(fp.writes)),
+		uOff: uOff,
+	})
+	dp.lastOfProc[p] = int32(n)
 }
 
 // dporRace handles one reversible race between event i and the event
-// being appended (proc eProc, footprint eFP, index dp.nEvents): it
+// being appended (proc eProc, footprint eFP, index len(dp.events)): it
 // ensures the backtrack set of the frame that chose i schedules some
 // initial of the reversing sequence v = (events after i not ordered
 // after i) · e. Races whose frame sits in the unit's fixed root prefix
@@ -281,8 +387,8 @@ func (r *mcRunner) dporRace(i int32, eProc int32, eFP footprint) {
 	}
 	u.res.Prune.DPORRaces++
 
-	ip := dp.procs[i]
-	n := int32(dp.nEvents)
+	ip := dp.events[i].proc
+	n := int32(len(dp.events))
 	v := dp.vbuf[:0]
 	for k := i + 1; k < n; k++ {
 		if dp.clockOf(k)[ip] >= i {
@@ -301,7 +407,7 @@ func (r *mcRunner) dporRace(i int32, eProc int32, eFP footprint) {
 	seen := dp.seenBuf[:0]
 	exact := len(v) <= dporVCap
 	for idx, k := range v {
-		kp := dp.procs[k]
+		kp := dp.events[k].proc
 		if procsContain(seen, kp) {
 			continue
 		}

@@ -135,6 +135,157 @@ func TestDPORBeatsSleepSets(t *testing.T) {
 	t.Logf("SB S=2: sleep-set runs %d, DPOR runs %d", legacy.Runs, dpor.Runs)
 }
 
+// spinDuelProgs is a victim thread spinning until it sees a signaller's
+// store: its runs are unbounded, so a step limit truncates them.
+func spinDuelProgs() (func(m *Machine) []func(Context), func(m *Machine) string) {
+	mk := func(m *Machine) []func(Context) {
+		x, res := m.Alloc(1), m.Alloc(1)
+		return []func(Context){
+			func(c Context) {
+				for c.Load(x) == 0 {
+					c.Work(1)
+				}
+				c.Store(res, 1)
+				c.Fence()
+			},
+			func(c Context) { c.Store(x, 1) },
+		}
+	}
+	out := func(m *Machine) string { return fmt.Sprintf("res=%d", m.Peek(1)) }
+	return mk, out
+}
+
+// chaseLevProgs is the fenced Chase-Lev deque (core/chaselev.go),
+// prefilled with tasks 1..prefill: the owner takes `takes` times and
+// thief i makes up to thieves[i] steal attempts, stopping at the first
+// empty one — the oracle's Program shape without its host-side history.
+// The outcome is the final head and tail index.
+func chaseLevProgs(prefill, takes int, thieves []int) (func(m *Machine) []func(Context), func(m *Machine) string) {
+	const h, t, tasks = Addr(0), Addr(1), Addr(2)
+	mk := func(m *Machine) []func(Context) {
+		m.Alloc(2 + prefill)
+		for i := 0; i < prefill; i++ {
+			m.Poke(tasks+Addr(i), uint64(i+1))
+		}
+		m.Poke(t, uint64(prefill))
+		progs := []func(Context){func(c Context) {
+			for k := 0; k < takes; k++ {
+				tt := int64(c.Load(t)) - 1
+				c.Store(t, uint64(tt))
+				c.Fence()
+				hh := int64(c.Load(h))
+				switch {
+				case tt > hh:
+					c.Load(tasks + Addr(tt))
+				case tt < hh:
+					c.Store(t, uint64(hh))
+				default:
+					c.Store(t, uint64(hh+1))
+					if _, ok := c.CAS(h, uint64(hh), uint64(hh+1)); ok {
+						c.Load(tasks + Addr(tt))
+					}
+				}
+			}
+		}}
+		for _, n := range thieves {
+			progs = append(progs, func(c Context) {
+				for k := 0; k < n; k++ {
+					for {
+						hh, tt := c.Load(h), c.Load(t)
+						if int64(hh) >= int64(tt) {
+							return
+						}
+						c.Load(tasks + Addr(hh))
+						if _, ok := c.CAS(h, hh, hh+1); ok {
+							break
+						}
+					}
+				}
+			})
+		}
+		return progs
+	}
+	out := func(m *Machine) string { return fmt.Sprintf("h=%d t=%d", m.Peek(h), m.Peek(t)) }
+	return mk, out
+}
+
+// TestDPORKeptEventTable checks the event table a runner keeps from run
+// to run: after every run, dporCheck compares it with the table rebuilt
+// from scratch for the same path (event procs, clocks and footprints,
+// each slot's latest writer and readers since, each proc's latest event)
+// and panics on the first difference. The cases cover a sequential
+// unit, runners moving between units, units resumed mid-flight, and
+// step-limited runs that taint frames. The check must not change what
+// the exploration does.
+func TestDPORKeptEventTable(t *testing.T) {
+	iriwMk, iriwOut := iriwProgs()
+	clMk, clOut := chaseLevProgs(4, 2, []int{2, 1})
+	spinMk, spinOut := spinDuelProgs()
+	explore := func(t *testing.T, cfg Config, mk func(m *Machine) []func(Context), out func(m *Machine) string, opts ExhaustiveOptions) (OutcomeSet, ExploreResult) {
+		t.Helper()
+		checked := opts
+		checked.DPOR, checked.dporCheck = true, true
+		set, res := func() (set OutcomeSet, res ExploreResult) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatal(p)
+				}
+			}()
+			return ExploreExhaustive(cfg, mk, out, checked)
+		}()
+		opts.DPOR = true
+		wantSet, want := ExploreExhaustive(cfg, mk, out, opts)
+		if res.Runs != want.Runs || res.Prune != want.Prune || !reflect.DeepEqual(set, wantSet) {
+			t.Fatalf("checked exploration ran %d runs %+v, unchecked %d %+v", res.Runs, res.Prune, want.Runs, want.Prune)
+		}
+		return set, res
+	}
+	iriwCfg := Config{Threads: 4, BufferSize: 1}
+	clCfg := Config{Threads: 3, BufferSize: 2}
+
+	t.Run("sequential/IRIW", func(t *testing.T) {
+		if _, res := explore(t, iriwCfg, iriwMk, iriwOut, ExhaustiveOptions{}); !res.Complete {
+			t.Fatalf("incomplete after %d runs", res.Runs)
+		}
+	})
+	t.Run("sequential/ChaseLev", func(t *testing.T) {
+		_, res := explore(t, clCfg, clMk, clOut, ExhaustiveOptions{})
+		if !res.Complete || res.Prune.DPORRaces == 0 {
+			t.Fatalf("complete=%v after %d runs with %d races", res.Complete, res.Runs, res.Prune.DPORRaces)
+		}
+		t.Logf("Chase-Lev S=2 TT against [2 1]: %d runs", res.Runs)
+	})
+	t.Run("parallel-units", func(t *testing.T) {
+		// Eight units over four runners: some runner explores two.
+		if _, res := explore(t, clCfg, clMk, clOut, ExhaustiveOptions{Parallel: 4, Units: 8}); !res.Complete {
+			t.Fatalf("incomplete after %d runs", res.Runs)
+		}
+	})
+	t.Run("resumed-legs", func(t *testing.T) {
+		sbMk, sbOut := sbProgsShared(false)
+		cfg := Config{Threads: 2, BufferSize: 2}
+		for _, leg := range []int{1, 7, 64} {
+			var cp *Checkpoint
+			for n := 0; ; n++ {
+				if n > 1<<14 {
+					t.Fatalf("legs of %d never completed", leg)
+				}
+				_, res := explore(t, cfg, sbMk, sbOut, ExhaustiveOptions{ExploreOptions: ExploreOptions{MaxRuns: leg}, Resume: cp})
+				if res.Complete {
+					break
+				}
+				cp = res.Checkpoint
+			}
+		}
+	})
+	t.Run("step-limited", func(t *testing.T) {
+		opts := ExhaustiveOptions{ExploreOptions: ExploreOptions{MaxStepsPerRun: 12}}
+		if _, res := explore(t, Config{Threads: 2, BufferSize: 1}, spinMk, spinOut, opts); res.StepLimited == 0 {
+			t.Fatalf("no run hit the step limit")
+		}
+	})
+}
+
 // TestDPORStepLimitComposes: DPOR under MaxStepsPerRun keeps the
 // "<step-limit>" bucketing sound. Equivalent *complete* runs have equal
 // length, so the limit is class-closed for them; runs that hit the limit
@@ -179,20 +330,7 @@ func TestDPORStepLimitComposes(t *testing.T) {
 // silently lost; with it, the step-limited DPOR support matches the
 // unreduced step-limited support.
 func TestDPORStepLimitTruncationTaint(t *testing.T) {
-	mk := func(m *Machine) []func(Context) {
-		x, res := m.Alloc(1), m.Alloc(1)
-		return []func(Context){
-			func(c Context) {
-				for c.Load(x) == 0 {
-					c.Work(1)
-				}
-				c.Store(res, 1)
-				c.Fence()
-			},
-			func(c Context) { c.Store(x, 1) },
-		}
-	}
-	out := func(m *Machine) string { return fmt.Sprintf("res=%d", m.Peek(1)) }
+	mk, out := spinDuelProgs()
 	cfg := Config{Threads: 2, BufferSize: 1}
 	const lim = 12
 	want, wantRes := ExploreExhaustive(cfg, mk, out,

@@ -123,6 +123,11 @@ type ExhaustiveOptions struct {
 	// memo-lock contention between workers at a small fixed memory cost.
 	memoStripes int
 
+	// dporCheck, under DPOR, rebuilds each run's event table from scratch
+	// alongside the kept one and panics when the two differ after the run
+	// (dporState.diff). Set only by this package's tests.
+	dporCheck bool
+
 	// MaxReorderings, when >= 1, bounds the store→load reorderings of each
 	// explored schedule: a load that reads shared memory (no forwarding
 	// hit) while its own thread still holds buffered stores counts as one
@@ -257,6 +262,10 @@ func historyMix(h uint64, req *request, resp response) uint64 {
 // multiset of final outcomes, the number of schedules it contains, how
 // many hit the step limit, and the per-thread occupancy high-water mark
 // over the subtree's schedules. Entries are immutable once published.
+// Publishing copies the entry by value, so the published copy shares the
+// counts map and the maxOcc slice with the frame that built it: a frame
+// recycled after publishing starts from a zero acc and never writes into
+// the map or slice it published (mcRunner.newFrame).
 type memoEntry struct {
 	counts      map[string]int
 	runs        int64
@@ -318,11 +327,15 @@ func (a *memoEntry) foldOcc(hw []int) {
 }
 
 // mcFrame is the engine's bookkeeping for one tree node on the current
-// DFS path of a work unit.
+// DFS path of a work unit. Frames are recycled through the runner's free
+// list (mcRunner.newFrame, release), and everything of variable size
+// lives on runner stacks or in the frame's reused marks array.
 type mcFrame struct {
 	depth  int
 	fanout int
-	// acc aggregates the node's fully explored children and leaves.
+	// acc aggregates the node's fully explored children and leaves when
+	// a memo table may publish it; without one, runs are accounted to the
+	// unit directly and acc stays zero (mcEngine.accFor).
 	acc memoEntry
 	// key/hashed: canonical state (Prune mode).
 	key    stateKey
@@ -342,9 +355,10 @@ type mcFrame struct {
 	fps    []footprint
 	dsleep []dsleepEntry
 	skip   []bool
-	// brEnd/addrEnd: where procs/fps and their footprint addresses end
-	// in the runner's frame stacks (mcRunner.procStack).
-	brEnd, addrEnd int
+	// Where this frame's share of each runner stack ends (mcRunner.
+	// procStack): procs/fps, their footprint addresses, dsleep and skip.
+	// A frame that takes no share of a stack inherits its parent's end.
+	brEnd, addrEnd, sleepEnd, skipEnd int
 
 	// DPOR bookkeeping (nil otherwise). bt is the backtrack set (race
 	// handling grows it; nil on resumed frames, meaning every branch);
@@ -353,6 +367,8 @@ type mcFrame struct {
 	// longer describes what finished.
 	bt   []bool
 	done []bool
+	// marks backs bt and done (bt first) and survives recycling.
+	marks []bool
 	// all marks a DPOR node a step-limited run passed through. A
 	// truncated run never exhibits its post-horizon races, so the
 	// backtrack sets of the frames it crossed may be missing reversals
@@ -418,8 +434,9 @@ type mcUnit struct {
 	complete bool
 
 	// DPOR bookkeeping. freshFrom is the depth the current run first
-	// diverges from already-race-scanned prefixes (race detection skips
-	// replayed events below it; clock maintenance never does). doneMask
+	// diverges from the previous run's path: the events below it are the
+	// previous run's, already race-scanned and still in the runner's event
+	// table, which keeps them instead of recording them again. doneMask
 	// carries the per-frame explored-branch bitmasks across a
 	// checkpoint: collected by snapshot, serialized per unit, and
 	// restored into the rebuilt frames on resume so out-of-order
@@ -431,9 +448,12 @@ type mcUnit struct {
 // mcRunner is one worker's reusable execution state: a machine (Reset
 // between schedules instead of rebuilt), the chooser policy driving it
 // with its pre-bound choose/onExec hooks, the per-thread history hashes,
-// and the sorting and footprint scratch. Each frontier worker owns exactly
-// one runner for its whole lifetime, so the steady-state exploration loop
-// performs no machine construction and no per-run closure allocation.
+// the DPOR event table of the unit it last ran, a free list of tree
+// frames, the stacks that back the frames' variable-size bookkeeping, and
+// the sorting and footprint scratch. Each frontier worker owns exactly one
+// runner for its whole lifetime, so the steady-state exploration loop
+// constructs no machine and, outside the memo table's aggregates and new
+// witnesses, allocates nothing per run or per tree node.
 type mcRunner struct {
 	e    *mcEngine
 	m    *Machine
@@ -454,23 +474,33 @@ type mcRunner struct {
 	// may evict the slot after the lookup, so credit never aliases it.
 	creditBuf memoEntry
 
-	// dp is the per-run DPOR state (events, clocks, race tables); nil
-	// unless ExhaustiveOptions.DPOR.
-	dp *dporState
+	// dp is the DPOR event table (events, clocks, race tables) of the
+	// path dpUnit last ran; nil unless ExhaustiveOptions.DPOR. shadow is
+	// a new table each run, recording every event of it, under
+	// ExhaustiveOptions.dporCheck only.
+	dp     *dporState
+	dpUnit *mcUnit
+	shadow *dporState
+
+	// free holds released frames for newFrame to reuse.
+	free []*mcFrame
 
 	hw          []int         // leaf high-water-mark scratch
 	sleepSorted []dsleepEntry // stateKeyFor's sorted-sleep-set scratch
 	fpR, fpW    []fpAddr      // footprintInto scratch for frame footprints
 
-	// procStack, fpStack and addrStack back the procs, fps and footprint
-	// addresses of the frames on the current path, in path order: a new
-	// node's share starts where its parent's ends, so descending reuses
-	// the space of finalized subtrees instead of allocating per node.
-	// Older slices stay valid when a stack grows: they keep the old
-	// backing array, which is never written again.
-	procStack []int32
-	fpStack   []footprint
-	addrStack []fpAddr
+	// procStack, fpStack, addrStack, sleepStack and skipStack back the
+	// procs, fps, footprint addresses, sleep sets and skip marks of the
+	// frames on the current path, in path order: a new node's share
+	// starts where its parent's ends, so descending reuses the space of
+	// finalized subtrees instead of allocating per node. Older slices stay
+	// valid when a stack grows: they keep the old backing array, which is
+	// never written again.
+	procStack  []int32
+	fpStack    []footprint
+	addrStack  []fpAddr
+	sleepStack []dsleepEntry
+	skipStack  []bool
 }
 
 // newRunner builds a worker's runner: the one machine and policy it will
@@ -503,7 +533,7 @@ func (e *mcEngine) newRunner() *mcRunner {
 		// past the last choice point, so they are never race *targets*
 		// (dporRace's depth check rejects them) — only sources.
 		r.m.flushHook = func(tid int) {
-			r.dporRecord(action{drain: true, id: tid}, true)
+			r.dporStep(len(r.dp.events), action{drain: true, id: tid}, true)
 		}
 	}
 	r.m.pol = r.pol
@@ -600,23 +630,25 @@ func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []dsleepEntry) s
 	return k
 }
 
-// childSleep computes the sleep set arriving at the child reached from
+// childSleep fills the sleep set arriving at f, the child reached from
 // the unit's deepest frame via its current branch: inherited entries
 // still independent of the chosen action, plus every fully explored
 // sibling that commutes with it. Explored siblings are the done ones
-// under DPOR and the ones before the chosen branch otherwise.
-func (r *mcRunner) childSleep() []dsleepEntry {
+// under DPOR and the ones before the chosen branch otherwise. The set is
+// carved from the runner's sleep stack past the parent's share.
+func (r *mcRunner) childSleep(f *mcFrame) {
 	u := r.u
 	if len(u.frames) == 0 {
-		return nil
+		return
 	}
 	p := u.frames[len(u.frames)-1]
 	if p.procs == nil {
-		return nil // resumed frame: action identities unknown
+		return // resumed frame: action identities unknown
 	}
 	chosen := u.prefix[p.depth]
 	cp, cfp := p.procs[chosen], p.fps[chosen]
-	var out []dsleepEntry
+	lo := f.sleepEnd
+	out := r.sleepStack[:lo]
 	for _, t := range p.dsleep {
 		if !r.sleepDependent(t.proc, t.fp, cp, cfp) {
 			out = append(out, t)
@@ -637,7 +669,61 @@ func (r *mcRunner) childSleep() []dsleepEntry {
 			out = append(out, dsleepEntry{proc: p.procs[b], fp: p.fps[b]})
 		}
 	}
-	return out
+	r.sleepStack = out
+	if len(out) > lo {
+		f.dsleep = out[lo:len(out):len(out)]
+		f.sleepEnd = len(out)
+	}
+}
+
+// skipMarks gives f cleared skip marks, one per branch, carved from the
+// runner's skip stack past the parent's share.
+func (r *mcRunner) skipMarks(f *mcFrame) {
+	lo := f.skipEnd
+	st := r.skipStack[:lo]
+	for range f.fanout {
+		st = append(st, false)
+	}
+	r.skipStack = st
+	f.skip = st[lo:len(st):len(st)]
+	f.skipEnd = len(st)
+}
+
+// newFrame returns a frame for the node at depth with fanout branches,
+// below u's deepest frame: a released one when there is one, else a new
+// one. A reused frame keeps only its marks array; its acc starts zero,
+// since a published memo entry may share its old counts and maxOcc.
+func (r *mcRunner) newFrame(u *mcUnit, depth, fanout int) *mcFrame {
+	var f *mcFrame
+	if k := len(r.free); k > 0 {
+		f = r.free[k-1]
+		r.free = r.free[:k-1]
+		*f = mcFrame{marks: f.marks}
+	} else {
+		f = &mcFrame{}
+	}
+	f.depth, f.fanout = depth, fanout
+	if k := len(u.frames); k > 0 {
+		p := u.frames[k-1]
+		f.brEnd, f.addrEnd, f.sleepEnd, f.skipEnd = p.brEnd, p.addrEnd, p.sleepEnd, p.skipEnd
+	}
+	return f
+}
+
+// release returns a frame no path holds any more to the free list.
+func (r *mcRunner) release(f *mcFrame) {
+	r.free = append(r.free, f)
+}
+
+// dporMarks gives f cleared backtrack and done sets over its marks array.
+func (f *mcFrame) dporMarks() {
+	n := f.fanout
+	if cap(f.marks) < 2*n {
+		f.marks = make([]bool, 2*n)
+	}
+	m := f.marks[:2*n]
+	clear(m)
+	f.bt, f.done = m[:n:n], m[n:]
 }
 
 // sleepDependent is the dependence relation sleep sets are computed
@@ -657,10 +743,7 @@ func (r *mcRunner) sleepDependent(procA int32, a footprint, procB int32, b footp
 // which under PSO tells apart the several drains of one buffer.
 func (r *mcRunner) sleepStep(f *mcFrame, acts []action) {
 	n := len(acts)
-	br, ad := 0, 0
-	if k := len(r.u.frames); k > 0 {
-		br, ad = r.u.frames[k-1].brEnd, r.u.frames[k-1].addrEnd
-	}
+	br, ad := f.brEnd, f.addrEnd
 	procs, fps, addrs := r.procStack[:br], r.fpStack[:br], r.addrStack[:ad]
 	for _, a := range acts {
 		procs = append(procs, procFor(r.e.cfg.Threads, a))
@@ -679,11 +762,11 @@ func (r *mcRunner) sleepStep(f *mcFrame, acts []action) {
 	r.procStack, r.fpStack, r.addrStack = procs, fps, addrs
 	f.procs, f.fps = procs[br:br+n:br+n], fps[br:br+n:br+n]
 	f.brEnd, f.addrEnd = br+n, len(addrs)
-	f.dsleep = r.childSleep()
+	r.childSleep(f)
 	if len(f.dsleep) == 0 {
 		return
 	}
-	f.skip = make([]bool, n)
+	r.skipMarks(f)
 	for i := range acts {
 		for _, t := range f.dsleep {
 			if t.proc == f.procs[i] && fpEqual(t.fp, f.fps[i]) {
@@ -729,9 +812,11 @@ func (e *mcEngine) exploreUnit(r *mcRunner, u *mcUnit) {
 		// before the interruption; bt stays nil (= every branch), since
 		// the backtrack reasoning that pruned the rest is gone too.
 		for d := rootLen; d < len(u.prefix); d++ {
-			f := &mcFrame{depth: d, fanout: u.fanout[d], noMemo: true}
+			f := r.newFrame(u, d, u.fanout[d])
+			f.noMemo = true
 			if e.opts.DPOR {
-				f.done = make([]bool, f.fanout)
+				f.dporMarks()
+				f.bt = nil
 				if di := d - rootLen; di < len(u.doneMask) {
 					for b := range f.done {
 						f.done[b] = u.doneMask[di]&(1<<b) != 0
@@ -744,16 +829,16 @@ func (e *mcEngine) exploreUnit(r *mcRunner, u *mcUnit) {
 	}
 	for {
 		if e.stopped.Load() {
-			u.snapshot()
+			u.snapshot(r)
 			return
 		}
 		if n := e.executed.Add(1); int(n) > e.opts.MaxRuns {
 			e.stopped.Store(true)
-			u.snapshot()
+			u.snapshot(r)
 			return
 		}
 		e.runOne(r, u)
-		if !e.advance(u, rootLen) {
+		if !e.advance(r, u, rootLen) {
 			return
 		}
 	}
@@ -777,9 +862,9 @@ func (r *mcRunner) choose(acts []action) int {
 			r.mismatch = true
 		}
 		if r.dp != nil {
-			// Clocks are maintained over the whole run; race detection
-			// only fires from the depth this run first diverges at.
-			r.dporRecord(acts[u.prefix[d]], d >= u.freshFrom)
+			// Race detection only fires from the depth this run first
+			// diverges at.
+			r.dporStep(d, acts[u.prefix[d]], d >= u.freshFrom)
 		}
 		r.depth++
 		return u.prefix[d]
@@ -798,7 +883,7 @@ func (r *mcRunner) choose(acts []action) int {
 		r.pol.cancel = true
 		return 0
 	}
-	f := &mcFrame{depth: d, fanout: n}
+	f := r.newFrame(u, d, n)
 	u.res.Tree.node(d, n)
 	if e.opts.SleepSets || r.dp != nil {
 		r.sleepStep(f, acts)
@@ -815,7 +900,7 @@ func (r *mcRunner) choose(acts []action) int {
 		for i := range acts {
 			if (f.skip == nil || !f.skip[i]) && reorderDelta(m, acts[i]) > 0 {
 				if f.skip == nil {
-					f.skip = make([]bool, n)
+					r.skipMarks(f)
 				}
 				f.skip[i] = true
 				u.res.Prune.ReorderSkips++
@@ -828,6 +913,7 @@ func (r *mcRunner) choose(acts []action) int {
 		f.hashed = true
 		u.res.Prune.StatesSeen++
 		if e.memo.get(f.key, &r.creditBuf) {
+			r.release(f)
 			r.credit = &r.creditBuf
 			r.cutHW = machineHWInto(m, r.cutHW)
 			r.cut = true
@@ -839,16 +925,16 @@ func (r *mcRunner) choose(acts []action) int {
 	if b < 0 {
 		// Every branch is covered by commuting explorations elsewhere:
 		// the node contributes nothing of its own.
+		r.release(f)
 		r.cutHW = machineHWInto(m, r.cutHW)
 		r.cut = true
 		r.pol.cancel = true
 		return 0
 	}
 	if r.dp != nil {
-		f.bt = make([]bool, n)
-		f.done = make([]bool, n)
+		f.dporMarks()
 		f.bt[b] = true
-		r.dporRecord(acts[b], true)
+		r.dporStep(d, acts[b], true)
 	}
 	if e.bound >= 0 {
 		r.reorder += reorderDelta(m, acts[b])
@@ -880,9 +966,25 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 	m.Reset()
 	progs := e.mk(m)
 	if r.dp != nil {
-		r.dp.begin(m) // after mk: every address is allocated
+		// After mk, so every address is allocated. The table keeps the
+		// events of the depths this run shares with the unit's previous
+		// one; a unit's first run keeps none.
+		keep := u.freshFrom
+		if r.dpUnit != u {
+			keep, r.dpUnit = 0, u
+		}
+		r.dp.begin(m, keep)
+		if e.opts.dporCheck {
+			r.shadow = newDPORState(e.cfg.Threads)
+			r.shadow.begin(m, 0)
+		}
 	}
 	err := m.Run(progs...)
+	if r.shadow != nil {
+		if d := r.dp.diff(r.shadow); d != "" {
+			panic("tso: DPOR kept event table differs from a rebuild: " + d)
+		}
+	}
 	if r.mismatch {
 		panic("tso: Explore program is not replay-deterministic (fanout changed under an identical choice prefix)")
 	}
@@ -904,11 +1006,7 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 			u.res.Prune.SubtreesCut++
 			u.res.Prune.SchedulesSaved += r.credit.runs
 		}
-		acc := &u.acc
-		if len(u.frames) > 0 {
-			acc = &u.frames[len(u.frames)-1].acc
-		}
-		acc.foldCredit(r.credit, r.cutHW)
+		e.accFor(u).foldCredit(r.credit, r.cutHW)
 		return
 	}
 
@@ -953,27 +1051,33 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 			}
 		}
 	}
-	acc := &u.acc
-	if len(u.frames) > 0 {
-		acc = &u.frames[len(u.frames)-1].acc
-	}
 	r.hw = machineHWInto(m, r.hw)
-	acc.addLeaf(o, r.hw, stepLimited)
+	e.accFor(u).addLeaf(o, r.hw, stepLimited)
 	keepWitness(u.res.Witnesses, o, u.prefix[:r.depth])
+}
+
+// accFor is where a run is accounted: the deepest frame's accumulator
+// when a memo table may publish that frame's subtree, else the unit's,
+// since then nothing reads a frame's aggregate but the unit's total.
+func (e *mcEngine) accFor(u *mcUnit) *memoEntry {
+	if e.memo != nil && len(u.frames) > 0 {
+		return &u.frames[len(u.frames)-1].acc
+	}
+	return &u.acc
 }
 
 // advance marks the retreating branch done (DPOR frames), then moves the
 // unit's DFS position to the next unexplored branch at or below the unit
 // root, finalizing (and memoizing) every node it retreats past. It
 // reports false when the unit's subtree is exhausted.
-func (e *mcEngine) advance(u *mcUnit, rootLen int) bool {
+func (e *mcEngine) advance(r *mcRunner, u *mcUnit, rootLen int) bool {
 	for i := len(u.prefix) - 1; i >= rootLen; i-- {
 		f := u.frames[i-rootLen]
 		if f.done != nil {
 			f.done[u.prefix[i]] = true
 		}
 		if nb := f.next(u.prefix[i]); nb >= 0 {
-			e.finalizeFrames(u, i+1)
+			e.finalizeFrames(r, u, i+1)
 			u.prefix = u.prefix[:i+1]
 			u.fanout = u.fanout[:i+1]
 			u.prefix[i] = nb
@@ -981,14 +1085,15 @@ func (e *mcEngine) advance(u *mcUnit, rootLen int) bool {
 			return true
 		}
 	}
-	e.finalizeFrames(u, rootLen)
+	e.finalizeFrames(r, u, rootLen)
 	u.complete = true
 	return false
 }
 
 // finalizeFrames pops every frame at depth >= downTo, publishing complete
-// subtrees to the memo table and folding them into their parent.
-func (e *mcEngine) finalizeFrames(u *mcUnit, downTo int) {
+// subtrees to the memo table, folding them into their parent, and
+// releasing the frame.
+func (e *mcEngine) finalizeFrames(r *mcRunner, u *mcUnit, downTo int) {
 	for len(u.frames) > 0 {
 		f := u.frames[len(u.frames)-1]
 		if f.depth < downTo {
@@ -998,22 +1103,19 @@ func (e *mcEngine) finalizeFrames(u *mcUnit, downTo int) {
 		if f.hashed && !f.noMemo {
 			e.memo.put(f.key, &f.acc)
 		}
-		if len(u.frames) > 0 {
-			u.frames[len(u.frames)-1].acc.fold(&f.acc)
-		} else {
-			u.acc.fold(&f.acc)
-		}
+		e.accFor(u).fold(&f.acc)
+		r.release(f)
 	}
 }
 
 // snapshot flushes partial frame accumulators into the unit result (they
-// are part of the counts already reported via the checkpoint) and leaves
-// prefix/fanout as the resumable position. Nothing is memoized: the
-// flushed subtrees are incomplete. DPOR frames additionally deposit
-// their explored-branch bitmasks in doneMask so the checkpoint can
-// restore them — without this, an out-of-order backtrack schedule would
-// make the resumed ascending sweep unsound.
-func (u *mcUnit) snapshot() {
+// are part of the counts already reported via the checkpoint), releases
+// the frames to r, and leaves prefix/fanout as the resumable position.
+// Nothing is memoized: the flushed subtrees are incomplete. DPOR frames
+// additionally deposit their explored-branch bitmasks in doneMask so the
+// checkpoint can restore them — without this, an out-of-order backtrack
+// schedule would make the resumed ascending sweep unsound.
+func (u *mcUnit) snapshot(r *mcRunner) {
 	rootLen := len(u.root)
 	for len(u.frames) > 0 {
 		f := u.frames[len(u.frames)-1]
@@ -1031,5 +1133,6 @@ func (u *mcUnit) snapshot() {
 		} else {
 			u.acc.fold(&f.acc)
 		}
+		r.release(f)
 	}
 }

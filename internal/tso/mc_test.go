@@ -532,3 +532,62 @@ func TestStateKeySeparates(t *testing.T) {
 		h = historyMix(h, &request{}, response{})
 	}
 }
+
+// allocIRIWProgs is IRIW for allocation counting: the factory returns
+// prebuilt closures and the outcome is a constant, so every allocation an
+// exploration makes is the engine's. Each writer publishes 1 and then 2,
+// which gives DPOR about two thousand classes to spread its fixed set-up
+// cost over.
+func allocIRIWProgs() (func(m *Machine) []func(Context), func(m *Machine) string) {
+	const x, y, r = Addr(0), Addr(1), Addr(2)
+	writer := func(a Addr) func(Context) {
+		return func(c Context) {
+			c.Store(a, 1)
+			c.Store(a, 2)
+		}
+	}
+	reader := func(first, second, res Addr) func(Context) {
+		return func(c Context) { c.Store(res, c.Load(first)+c.Load(second)) }
+	}
+	progs := []func(Context){writer(x), writer(y), reader(x, y, r), reader(y, x, r+1)}
+	mk := func(m *Machine) []func(Context) {
+		m.Alloc(4)
+		return progs
+	}
+	return mk, func(*Machine) string { return "" }
+}
+
+// TestExploreAllocs bounds what a warmed sequential exploration allocates
+// per executed run. Without a memo table (DPOR, unreduced) the tree walk
+// allocates nothing per run or node: frames are recycled, sleep sets and
+// skip marks live on runner stacks, leaves fold into the unit, and the
+// DPOR event table keeps its replayed prefix. What is left is the fixed
+// set-up of one exploration. Prune still allocates its memo aggregates.
+func TestExploreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	mk, out := allocIRIWProgs()
+	cfg := Config{Threads: 4, BufferSize: 1}
+	budget := ExploreOptions{MaxRuns: 5000}
+	for _, c := range []struct {
+		name string
+		opts ExhaustiveOptions
+		max  float64
+	}{
+		{"DPOR", ExhaustiveOptions{ExploreOptions: budget, DPOR: true}, 0.5},
+		{"unreduced", ExhaustiveOptions{ExploreOptions: budget}, 0.5},
+		{"Prune", ExhaustiveOptions{ExploreOptions: budget, Prune: true}, 2.7},
+	} {
+		var runs int
+		allocs := testing.AllocsPerRun(1, func() {
+			_, res := ExploreExhaustive(cfg, mk, out, c.opts)
+			runs = res.Runs
+		})
+		perRun := allocs / float64(runs)
+		t.Logf("%s: %.0f allocations over %d runs, %.3f per run", c.name, allocs, runs, perRun)
+		if perRun > c.max {
+			t.Errorf("%s: %.3f allocations per executed run, want at most %.1f", c.name, perRun, c.max)
+		}
+	}
+}
