@@ -54,7 +54,8 @@ func TestFigure7BothPlatforms(t *testing.T) {
 
 func TestFigure8Tiny(t *testing.T) {
 	// A reduced grid: only the L values where the S=32 vs S=33 analysis
-	// disagrees most sharply, few seeds. The real grid runs in cmd/litmus.
+	// disagrees most sharply, few seeds. The full grid is reproduce's figure8
+	// section.
 	res, err := Figure8Ctx(context.Background(), litmus.Options{Tasks: 48, Seeds: 25, DrainBiases: []float64{0.02, 0.2}})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@ import (
 	"io"
 )
 
-// JSON output for every experiment, so results can be consumed by plotting
-// scripts without scraping the text tables. The structures marshal the
-// exported experiment types directly; this file only adds envelopes that
-// name the experiment and the schema version.
+// JSON output for the evaluation, so results can be consumed by plotting
+// scripts without scraping the text tables. The manifest marshals the
+// exported experiment types directly; this file only adds the envelope
+// that names it and the schema version.
 
 // jsonEnvelope wraps a result with identification.
 type jsonEnvelope struct {
@@ -19,55 +19,6 @@ type jsonEnvelope struct {
 
 const schemaVersion = 1
 
-func writeJSON(w io.Writer, experiment string, data any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonEnvelope{Experiment: experiment, Schema: schemaVersion, Data: data})
-}
-
-// WriteFigure1JSON emits the Figure 1 rows as JSON.
-func WriteFigure1JSON(w io.Writer, rows []Fig1Row) error {
-	return writeJSON(w, "figure1", rows)
-}
-
-// WriteFigure7JSON emits a capacity-measurement result as JSON.
-func WriteFigure7JSON(w io.Writer, res Fig7Result) error {
-	return writeJSON(w, "figure7", res)
-}
-
-// WriteFigure8JSON emits both litmus panels as JSON.
-func WriteFigure8JSON(w io.Writer, res Fig8Result) error {
-	return writeJSON(w, "figure8", res)
-}
-
-// WriteFigure10JSON emits one Figure 10 panel as JSON.
-func WriteFigure10JSON(w io.Writer, res Fig10Result) error {
-	return writeJSON(w, "figure10", res)
-}
-
-// WriteFigure11JSON emits a Figure 11 result as JSON.
-func WriteFigure11JSON(w io.Writer, res Fig11Result) error {
-	return writeJSON(w, "figure11", res)
-}
-
-// WriteLitmusMatrixJSON emits the classic-litmus validation matrix as
-// JSON.
-func WriteLitmusMatrixJSON(w io.Writer, rows []MatrixRow) error {
-	return writeJSON(w, "litmus-matrix", rows)
-}
-
-// WriteAblationJSON emits one ablation sweep as JSON.
-func WriteAblationJSON(w io.Writer, title string, rows []AblationRow) error {
-	return writeJSON(w, "ablation: "+title, rows)
-}
-
-// WriteMetricsJSON emits one observability report (see CollectMetrics) as
-// JSON. The envelope and the report's field names are stable: plotting
-// scripts may rely on data.machine.threads[].occupancy_hist et al.
-func WriteMetricsJSON(w io.Writer, rep MetricsReport) error {
-	return writeJSON(w, "metrics", rep)
-}
-
 // ManifestEntry pairs one experiment's name with its result data inside
 // the single-file manifest cmd/reproduce -json writes.
 type ManifestEntry struct {
@@ -77,8 +28,12 @@ type ManifestEntry struct {
 	Data any `json:"data"`
 }
 
-// WriteManifestJSON emits one manifest holding every figure's result —
-// the whole-evaluation counterpart of the per-figure writers above.
+// WriteManifestJSON emits one manifest holding every entry's result.
+// The envelope and the result types' field names are stable: plotting
+// scripts may rely on, say, a metrics entry's
+// data.machine.threads[].occupancy_hist.
 func WriteManifestJSON(w io.Writer, entries []ManifestEntry) error {
-	return writeJSON(w, "manifest", entries)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(jsonEnvelope{Experiment: "manifest", Schema: schemaVersion, Data: entries})
 }

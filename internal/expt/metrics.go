@@ -15,7 +15,7 @@ import (
 // instrumented workload on a platform, bundles the machine's per-thread
 // metric series with the scheduler's per-worker counters into a single
 // report, and renders that report as text histograms/tables or as the
-// stable JSON the -metrics flags emit.
+// stable JSON of reproduce's metrics section.
 
 // MetricsReport bundles everything the observability layer records for one
 // instrumented run: the machine-level series (per-thread occupancy, stall

@@ -7,22 +7,18 @@ import (
 	"testing"
 )
 
-// TestMetricsJSONSchema is the stability contract for the -metrics JSON:
-// it validates the envelope and every field name plotting scripts may rely
-// on, so an accidental rename fails here rather than downstream.
+// TestMetricsJSONSchema is the stability contract for the metrics entry of
+// the -json manifest: it validates every field name plotting scripts may
+// rely on, so an accidental rename fails here rather than downstream.
 func TestMetricsJSONSchema(t *testing.T) {
 	rep, err := CollectMetrics(ScaledHaswell(), "timed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteMetricsJSON(&buf, rep); err != nil {
+	raw := manifestEntry(t, "metrics", rep)
+	var data map[string]any
+	if err := json.Unmarshal(raw, &data); err != nil {
 		t.Fatal(err)
-	}
-	env := decodeEnvelope(t, &buf, "metrics")
-	data, ok := env["data"].(map[string]any)
-	if !ok {
-		t.Fatalf("data is %T", env["data"])
 	}
 	for _, key := range []string{"platform", "engine", "app", "algo", "machine", "machine_stats", "sched"} {
 		if _, ok := data[key]; !ok {
@@ -65,13 +61,11 @@ func TestMetricsJSONSchema(t *testing.T) {
 	}
 
 	// The report must survive a round trip back into the typed struct.
-	var rt struct {
-		Data MetricsReport `json:"data"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &rt); err != nil {
+	var rt MetricsReport
+	if err := json.Unmarshal(raw, &rt); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Data.Machine == nil || len(rt.Data.Machine.Threads) != len(rep.Machine.Threads) {
+	if rt.Machine == nil || len(rt.Machine.Threads) != len(rep.Machine.Threads) {
 		t.Fatal("machine metrics did not round-trip")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/litmus"
-	"repro/internal/measure"
 	"repro/internal/viz"
 )
 
@@ -182,13 +181,5 @@ func RenderFigure11(w io.Writer, res Fig11Result) {
 		}
 		viz.NormalizedChart(w, row.Workload+":", bars, 120)
 		fmt.Fprintln(w)
-	}
-}
-
-// RenderCapacityCSV emits the Figure 7 curve as CSV for plotting.
-func RenderCapacityCSV(w io.Writer, pts []measure.Point) {
-	fmt.Fprintln(w, "stores,cycles_per_iter")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d,%.2f\n", p.Stores, p.CyclesPerIter)
 	}
 }
