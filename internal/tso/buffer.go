@@ -222,45 +222,84 @@ func (b *storeBuffer) drainAt(mem *memory, i int) {
 	}
 }
 
-// memory is the simulated shared memory: a growable array of 64-bit words,
-// all initially zero, grown by Alloc and writes (ensure). It tracks the
-// dirty high-watermark so reset zeroes only the words a run actually
-// touched. It always holds at least one word, which reset relies on.
+// pageShift sets the memory page: 1<<pageShift words, 32 KiB.
+const (
+	pageShift = 12
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
+	// minBacking is the least capacity a page's first backing gets, so a
+	// machine writing its words in address order does not reallocate at
+	// every power of two on its way to a hundred words.
+	minBacking = 64
+)
+
+// memory is the simulated shared memory: 64-bit words, all initially
+// zero. Reserving addresses (Machine.Alloc) backs nothing; a word is
+// backed by the first write to it. Memory is held in pages of pageWords
+// words. A page's slice is allocated by the first write into the page and
+// extends only to its highest written word, its capacity doubling as it
+// grows from minBacking, so a reserved range no run writes costs nothing
+// and a machine that writes a hundred words holds one small slice, not a
+// page. Reading an unbacked word returns 0 and allocates nothing.
 type memory struct {
-	words []uint64
-	hi    Addr // highest address ever written since the last reset
+	// pages[p] backs words [p<<pageShift, p<<pageShift+len(pages[p]));
+	// a nil entry is a page nothing has written.
+	pages [][]uint64
 }
 
-func newMemory(words int) *memory {
-	return &memory{words: make([]uint64, words)}
+func newMemory() *memory {
+	return &memory{}
 }
 
-// reset rezeroes every written word — the memory half of Machine.Reset.
+// reset rezeroes every backed word, keeping it backed — the memory half
+// of Machine.Reset. Words above a page's length were never written, so
+// clearing the backed slices clears everything a run wrote.
 func (m *memory) reset() {
-	clear(m.words[:m.hi+1])
-	m.hi = 0
+	for _, pg := range m.pages {
+		clear(pg)
+	}
 }
 
 func (m *memory) read(a Addr) uint64 {
-	m.ensure(a)
-	return m.words[a]
-}
-
-func (m *memory) write(a Addr, v uint64) {
-	m.ensure(a)
-	m.words[a] = v
-	if a > m.hi {
-		m.hi = a
-	}
-}
-
-func (m *memory) ensure(a Addr) {
 	if a < 0 {
 		panic("tso: negative address")
 	}
-	if int(a) >= len(m.words) {
-		grown := make([]uint64, max(int(a)+1, 2*len(m.words)))
-		copy(grown, m.words)
-		m.words = grown
+	if p := int(a >> pageShift); p < len(m.pages) {
+		if pg, o := m.pages[p], int(a&pageMask); o < len(pg) {
+			return pg[o]
+		}
 	}
+	return 0
+}
+
+func (m *memory) write(a Addr, v uint64) {
+	if a < 0 {
+		panic("tso: negative address")
+	}
+	p, o := int(a>>pageShift), int(a&pageMask)
+	if p < len(m.pages) {
+		if pg := m.pages[p]; o < len(pg) {
+			pg[o] = v
+			return
+		}
+	}
+	m.back(p, o)[o] = v
+}
+
+// back extends page p's slice to cover offset o and returns it. The words
+// it adds are zero: nothing has written past a page's length, and a grown
+// slice is freshly allocated.
+func (m *memory) back(p, o int) []uint64 {
+	if p >= len(m.pages) {
+		m.pages = append(m.pages, make([][]uint64, p+1-len(m.pages))...)
+	}
+	pg := m.pages[p]
+	if o >= cap(pg) {
+		grown := make([]uint64, len(pg), min(pageWords, max(o+1, 2*cap(pg), minBacking)))
+		copy(grown, pg)
+		pg = grown
+	}
+	pg = pg[:o+1]
+	m.pages[p] = pg
+	return pg
 }

@@ -19,7 +19,7 @@ func TestStoreBufferForwardNewest(t *testing.T) {
 }
 
 func TestStoreBufferFIFODrainOrder(t *testing.T) {
-	mem := newMemory(8)
+	mem := newMemory()
 	b := newStoreBuffer(4, false)
 	b.push(entry{addr: 5, val: 1})
 	b.push(entry{addr: 5, val: 2})
@@ -60,7 +60,7 @@ func TestStoreBufferFullEmptyOccupancy(t *testing.T) {
 }
 
 func TestDrainStageMovesThroughB(t *testing.T) {
-	mem := newMemory(8)
+	mem := newMemory()
 	b := newStoreBuffer(4, true)
 	b.push(entry{addr: 1, val: 100})
 	// First drain moves the entry into B; memory is not yet written.
@@ -86,7 +86,7 @@ func TestDrainStageMovesThroughB(t *testing.T) {
 }
 
 func TestDrainStageCoalescesSameAddress(t *testing.T) {
-	mem := newMemory(8)
+	mem := newMemory()
 	b := newStoreBuffer(4, true)
 	b.push(entry{addr: 7, val: 1})
 	b.push(entry{addr: 7, val: 2})
@@ -107,7 +107,7 @@ func TestDrainStageCoalescesSameAddress(t *testing.T) {
 }
 
 func TestDrainStageDifferentAddressWritesB(t *testing.T) {
-	mem := newMemory(8)
+	mem := newMemory()
 	b := newStoreBuffer(4, true)
 	b.push(entry{addr: 1, val: 10})
 	b.push(entry{addr: 2, val: 20})
@@ -130,7 +130,7 @@ func TestDrainStageCoalescingIsTSOLegal(t *testing.T) {
 	// into A:=1 would let another processor observe A=2 while B=0, which
 	// is illegal under TSO. Our stage only coalesces *consecutive* drains
 	// to one address, so this must not happen.
-	mem := newMemory(8)
+	mem := newMemory()
 	const a, bAddr = 0, 1
 	buf := newStoreBuffer(4, true)
 	buf.push(entry{addr: a, val: 1})
@@ -152,7 +152,7 @@ func TestDrainStageCoalescingIsTSOLegal(t *testing.T) {
 }
 
 func TestDrainEmptyPanics(t *testing.T) {
-	mem := newMemory(1)
+	mem := newMemory()
 	for _, stage := range []bool{false, true} {
 		b := newStoreBuffer(2, stage)
 		func() {
@@ -166,8 +166,10 @@ func TestDrainEmptyPanics(t *testing.T) {
 	}
 }
 
+// TestMemoryGrowsOnDemand: a write backs its word, and a write far
+// beyond every other backs at most one page, not the words below it.
 func TestMemoryGrowsOnDemand(t *testing.T) {
-	m := newMemory(2)
+	m := newMemory()
 	m.write(100, 42)
 	if got := m.read(100); got != 42 {
 		t.Fatalf("mem[100]=%d want 42", got)
@@ -175,14 +177,83 @@ func TestMemoryGrowsOnDemand(t *testing.T) {
 	if got := m.read(50); got != 0 {
 		t.Fatalf("mem[50]=%d want 0", got)
 	}
+	far := newMemory()
+	far.write(1<<20, 43)
+	if got := far.read(1 << 20); got != 43 {
+		t.Fatalf("mem[1<<20]=%d want 43", got)
+	}
+	if words, pages := backedWords(far); pages != 1 || words > pageWords {
+		t.Fatalf("a write at 1<<20 backed %d words on %d pages, want at most %d on 1", words, pages, pageWords)
+	}
 }
 
 func TestMemoryNegativeAddressPanics(t *testing.T) {
-	m := newMemory(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative address did not panic")
+	for name, access := range map[string]func(m *memory){
+		"read":  func(m *memory) { m.read(-1) },
+		"write": func(m *memory) { m.write(-1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a negative address did not panic", name)
+				}
+			}()
+			access(newMemory())
+		}()
+	}
+}
+
+// backedWords counts the words m holds on the host and the pages it has
+// backed.
+func backedWords(m *memory) (words, pages int) {
+	for _, pg := range m.pages {
+		if pg != nil {
+			words += cap(pg)
+			pages++
 		}
-	}()
-	m.read(-1)
+	}
+	return words, pages
+}
+
+// TestMemoryReadUnbackedAllocatesNothing: reading a word nothing wrote,
+// directly or through Peek, returns 0, allocates nothing and backs
+// nothing — however far past the backed words it lies.
+func TestMemoryReadUnbackedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	m := NewMachine(Config{Threads: 1, BufferSize: 1})
+	defer m.Close()
+	big := m.Alloc(1 << 20)
+	m.Poke(3, 1)
+	var sum uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		sum += m.Peek(big+pageWords) + m.Peek(big+1<<20-1) + m.Peek(4) + m.mem.read(1<<30)
+	})
+	if allocs != 0 || sum != 0 {
+		t.Fatalf("unbacked reads: %v allocations, sum %d; want 0, 0", allocs, sum)
+	}
+	if words, pages := backedWords(m.mem); pages != 1 || words > minBacking {
+		t.Fatalf("reads backed memory: %d words on %d pages, want at most %d on 1", words, pages, minBacking)
+	}
+}
+
+// TestMemoryResetZeroesWrittenWords: reset zeroes every written word on
+// every page and keeps the pages backed for the next run.
+func TestMemoryResetZeroesWrittenWords(t *testing.T) {
+	m := newMemory()
+	addrs := []Addr{0, 7, pageWords - 1, pageWords, 3*pageWords + 5, 1 << 20}
+	for i, a := range addrs {
+		m.write(a, uint64(i)+1)
+	}
+	words, pages := backedWords(m)
+	m.reset()
+	for _, a := range addrs {
+		if got := m.read(a); got != 0 {
+			t.Errorf("after reset mem[%d]=%d want 0", a, got)
+		}
+	}
+	if w, p := backedWords(m); w != words || p != pages {
+		t.Errorf("reset changed the backing: %d words on %d pages, was %d on %d", w, p, words, pages)
+	}
 }

@@ -45,6 +45,7 @@ type Context interface {
 // constructors take an Allocator so they can be built for either.
 type Allocator interface {
 	// Alloc reserves n fresh zero-initialized words and returns the base
-	// address. It must be called before Run starts the machine.
+	// address. It must be called before Run starts the machine. It
+	// reserves addresses only; memory is backed where a run writes.
 	Alloc(n int) Addr
 }

@@ -223,8 +223,9 @@ func NewMachine(cfg Config) *Machine {
 	// that build one machine per run (Figure 8's litmus sweep) allocate
 	// that memory at a high rate, and with the Machine allocated first the
 	// sweep measured ~20% slower on a 2-CPU host, its GC mark phases
-	// lengthened.
-	m := &Machine{mem: newMemory(1), rng: rand.New(rand.NewSource(c.Seed))}
+	// lengthened. Only the memory's header is allocated here; its pages
+	// come with the run's first writes.
+	m := &Machine{mem: newMemory(), rng: rand.New(rand.NewSource(c.Seed))}
 	m.init(c, c.BufferSize, c.DrainBuffer, &chaosPolicy{})
 	return m
 }
@@ -252,19 +253,21 @@ func (m *Machine) init(c Config, bufCap int, stage bool, pol policy) {
 func (m *Machine) Config() Config { return m.cfg }
 
 // Alloc reserves n zero-initialized words of simulated memory and returns
-// the base address. Call it before Run.
+// the base address. Call it before Run. It only reserves the addresses:
+// a word is backed (allocated on the host) by the first write to it, so a
+// large reservation that a run barely writes costs only what it writes.
 func (m *Machine) Alloc(n int) Addr {
 	if n <= 0 {
 		panic(fmt.Sprintf("tso: Alloc(%d)", n))
 	}
 	base := m.next
 	m.next += Addr(n)
-	m.mem.ensure(m.next - 1)
 	return base
 }
 
 // Peek reads simulated memory directly, bypassing store buffers. Intended
-// for harness inspection after Run (when all buffers have drained).
+// for harness inspection after Run (when all buffers have drained). A
+// word nothing has written reads 0 and Peek allocates nothing.
 func (m *Machine) Peek(a Addr) uint64 { return m.mem.read(a) }
 
 // Poke writes simulated memory directly, bypassing store buffers. Intended

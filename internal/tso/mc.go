@@ -578,8 +578,31 @@ func reorderDelta(m *Machine, act action) int {
 	return 1
 }
 
+// mixMemory folds words [0, n) of mem into k in address order, an
+// unbacked word as 0: the same word sequence a flat array would give, so
+// a key never depends on which words happen to be backed. It walks each
+// page's backed slice directly, then the page's unbacked tail.
+func mixMemory(k stateKey, mem *memory, n Addr) stateKey {
+	for p, rest := 0, int(n); rest > 0; p++ {
+		span := min(rest, pageWords)
+		var pg []uint64
+		if p < len(mem.pages) {
+			pg = mem.pages[p]
+		}
+		pg = pg[:min(len(pg), span)]
+		for _, w := range pg {
+			k = k.mix(w)
+		}
+		for range span - len(pg) {
+			k = k.mix(0)
+		}
+		rest -= span
+	}
+	return k
+}
+
 // stateKeyFor hashes the machine's canonical state at a choice point:
-// step count, allocated memory, per-thread buffer contents and
+// step count, reserved memory, per-thread buffer contents and
 // request/response histories, plus the arriving sleep set (two states
 // explored under different sleep sets have different residual subtrees,
 // so the sleep set is part of the identity in SleepSets mode). Outside
@@ -588,9 +611,7 @@ func reorderDelta(m *Machine, act action) int {
 // is preceded by its length, so each word lands at a fixed position.
 func (r *mcRunner) stateKeyFor(m *Machine, hist []uint64, sleep []dsleepEntry) stateKey {
 	k := keySeed.mix(uint64(m.steps)).mix(uint64(m.next))
-	for _, w := range m.mem.words[:m.next] {
-		k = k.mix(w)
-	}
+	k = mixMemory(k, m.mem, m.next)
 	for tid, b := range m.bufs {
 		k = k.mix(uint64(tid)<<32 | uint64(len(b.entries)))
 		for _, en := range b.entries {

@@ -533,6 +533,50 @@ func TestStateKeySeparates(t *testing.T) {
 	}
 }
 
+// TestMemoryKeyMatchesFlatWords pins the memory part of a state key to
+// the word sequence of a flat array: mixMemory must fold exactly
+// Peek(a) for every a < m.next, zeros included, whichever words are
+// backed, so memo keys (and every count behind them) do not depend on
+// the sparse layout.
+func TestMemoryKeyMatchesFlatWords(t *testing.T) {
+	flat := func(m *Machine) stateKey {
+		k := keySeed
+		for a := Addr(0); a < m.next; a++ {
+			k = k.mix(m.Peek(a))
+		}
+		return k
+	}
+	check := func(name string, m *Machine) {
+		t.Helper()
+		if got, want := mixMemory(keySeed, m.mem, m.next), flat(m); got != want {
+			t.Errorf("%s: mixMemory = %x, flat words = %x", name, got, want)
+		}
+	}
+	m := NewMachine(Config{Threads: 1, BufferSize: 1})
+	defer m.Close()
+	check("nothing reserved", m)
+	m.Alloc(5)
+	check("reserved, nothing backed", m)
+	m.Poke(1, 3)
+	check("one backed word below a reserved tail", m)
+	m.Alloc(3 * pageWords)
+	m.Poke(2*pageWords+9, 4)
+	check("unbacked gap of a whole page", m)
+	m.Poke(pageWords-1, 5)
+	m.Poke(pageWords, 6)
+	check("written across a page boundary", m)
+	m.Poke(m.next+pageWords, 7)
+	check("written past the reserved range", m)
+
+	m.Reset()
+	check("reset", m)
+	m.Alloc(pageWords + 2)
+	check("reused, still backed but zero", m)
+	m.Poke(pageWords+1, 8)
+	m.Poke(3, 9)
+	check("reused and rewritten", m)
+}
+
 // allocIRIWProgs is IRIW for allocation counting: the factory returns
 // prebuilt closures and the outcome is a constant, so every allocation an
 // exploration makes is the engine's. Each writer publishes 1 and then 2,

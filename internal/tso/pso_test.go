@@ -172,7 +172,7 @@ func TestEligibleDrains(t *testing.T) {
 			t.Fatalf("eligible = %v want %v", el, want)
 		}
 	}
-	mem := newMemory(8)
+	mem := newMemory()
 	b.drainAt(mem, 1) // drain the store to address 2 first
 	if mem.read(2) != 20 || mem.read(1) != 0 {
 		t.Fatal("drainAt wrote the wrong entry")

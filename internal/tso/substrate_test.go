@@ -18,6 +18,19 @@ import (
 
 const fuzzWords = 8 // addresses a fuzz program touches
 
+// farWords is the large region the reset fuzz reserves after a program's
+// words: several pages, of which pokeFar writes only a few words far
+// apart, so a reset must clear words on pages other than the first.
+const farWords = 3*pageWords + 17
+
+// pokeFar writes val+i to the i-th of a few far-apart words of the far
+// region at base.
+func pokeFar(m *Machine, base Addr, val uint64) {
+	for i, off := range []Addr{0, pageWords + 1, 2*pageWords - 1, farWords - 1} {
+		m.Poke(base+off, val+uint64(i))
+	}
+}
+
 // fuzzProgs builds one deterministic pseudo-random program per thread:
 // a mix of stores, loads, CAS, fences and Work driven by a thread-local
 // RNG, folding every observed value into a signature that the thread
@@ -73,8 +86,13 @@ func snapshotOf(m *Machine, words int) machineSnapshot {
 }
 
 func (a machineSnapshot) diff(b machineSnapshot) string {
-	if !reflect.DeepEqual(a.mem, b.mem) {
-		return fmt.Sprintf("memory image differs:\n  %v\n  %v", a.mem, b.mem)
+	if len(a.mem) != len(b.mem) {
+		return fmt.Sprintf("memory images of %d and %d words", len(a.mem), len(b.mem))
+	}
+	for i := range a.mem {
+		if a.mem[i] != b.mem[i] {
+			return fmt.Sprintf("memory image differs first at word %d: %d vs %d", i, a.mem[i], b.mem[i])
+		}
 	}
 	if a.stats != b.stats {
 		return fmt.Sprintf("stats differ:\n  %+v\n  %+v", a.stats, b.stats)
@@ -97,17 +115,22 @@ func TestResetEquivalence(t *testing.T) {
 				DrainBias: 0.3, DrainBuffer: drain, Metrics: true,
 			}
 			words := fuzzWords + cfg.Threads
+			// The image spans the dirty run's far region too, which
+			// ends past the measured run's.
+			image := words + farWords + pageWords
 
 			fresh := NewMachine(cfg)
 			base := fresh.Alloc(words)
+			pokeFar(fresh, fresh.Alloc(farWords), 100)
 			if err := fresh.Run(fuzzProgs(seed, cfg.Threads, base)...); err != nil {
 				t.Fatalf("seed %d: fresh run: %v", seed, err)
 			}
-			want := snapshotOf(fresh, words)
+			want := snapshotOf(fresh, image)
 			fresh.Close()
 
 			reused := NewMachine(cfg)
 			dirtyBase := reused.Alloc(words + 5) // different layout on purpose
+			pokeFar(reused, reused.Alloc(farWords+9), 1000)
 			if err := reused.Run(fuzzProgs(seed+1000, cfg.Threads, dirtyBase)...); err != nil {
 				t.Fatalf("seed %d: dirty run: %v", seed, err)
 			}
@@ -115,10 +138,11 @@ func TestResetEquivalence(t *testing.T) {
 			if got := reused.Alloc(words); got != base {
 				t.Fatalf("seed %d: Reset did not rewind the allocator: got base %d, want %d", seed, got, base)
 			}
+			pokeFar(reused, reused.Alloc(farWords), 100)
 			if err := reused.Run(fuzzProgs(seed, cfg.Threads, base)...); err != nil {
 				t.Fatalf("seed %d: reused run: %v", seed, err)
 			}
-			got := snapshotOf(reused, words)
+			got := snapshotOf(reused, image)
 			reused.Close()
 
 			if d := want.diff(got); d != "" {
@@ -134,18 +158,21 @@ func TestResetEquivalenceTimed(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		cfg := Config{Threads: 2, BufferSize: 5, DrainBuffer: seed%2 == 0, Metrics: true}
 		words := fuzzWords + cfg.Threads
+		image := words + farWords + pageWords
 
 		fresh := NewTimedMachine(cfg)
 		base := fresh.Alloc(words)
+		pokeFar(&fresh.Machine, fresh.Alloc(farWords), 100)
 		if err := fresh.Run(fuzzProgs(seed, cfg.Threads, base)...); err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}
-		want := snapshotOf(&fresh.Machine, words)
+		want := snapshotOf(&fresh.Machine, image)
 		wantElapsed := fresh.Elapsed()
 		fresh.Close()
 
 		reused := NewTimedMachine(cfg)
 		dirtyBase := reused.Alloc(words + 3)
+		pokeFar(&reused.Machine, reused.Alloc(farWords+9), 1000)
 		if err := reused.Run(fuzzProgs(seed+1000, cfg.Threads, dirtyBase)...); err != nil {
 			t.Fatalf("seed %d: dirty run: %v", seed, err)
 		}
@@ -154,10 +181,11 @@ func TestResetEquivalenceTimed(t *testing.T) {
 			t.Fatalf("seed %d: Reset left Elapsed at %d", seed, reused.Elapsed())
 		}
 		reused.Alloc(words)
+		pokeFar(&reused.Machine, reused.Alloc(farWords), 100)
 		if err := reused.Run(fuzzProgs(seed, cfg.Threads, base)...); err != nil {
 			t.Fatalf("seed %d: reused run: %v", seed, err)
 		}
-		got := snapshotOf(&reused.Machine, words)
+		got := snapshotOf(&reused.Machine, image)
 		gotElapsed := reused.Elapsed()
 		reused.Close()
 
