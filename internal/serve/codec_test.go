@@ -173,6 +173,7 @@ func TestMetricsMemoAndReorderGauges(t *testing.T) {
 	text := buf.String()
 	for _, name := range []string{
 		"tsoserve_memo_entries",
+		"tsoserve_memo_bytes",
 		"tsoserve_memo_admitted_total",
 		"tsoserve_memo_evicted_total",
 		"tsoserve_memo_stripe_contention_total",
@@ -184,6 +185,9 @@ func TestMetricsMemoAndReorderGauges(t *testing.T) {
 	}
 	if strings.Contains(text, "\ntsoserve_memo_admitted_total 0\n") {
 		t.Error("memo admitted counter stayed zero after a pruned job")
+	}
+	if strings.Contains(text, "\ntsoserve_memo_bytes 0\n") {
+		t.Error("memo bytes gauge stayed zero after a pruned job")
 	}
 	if strings.Contains(text, "\ntsoserve_reorder_skips_total 0\n") {
 		t.Error("reorder skip counter stayed zero after a bounded job")

@@ -72,9 +72,11 @@ type job struct {
 	frontier *tso.Checkpoint
 	budget   int // remaining executed-schedule budget
 	executed int
-	// memoEntries is the residency of the memo table the job's slices
-	// continue: the sum of what each slice added (its Memo.Entries).
+	// memoEntries and memoBytes are the residency of the memo table the
+	// job's slices continue: the sums of what each slice added (its
+	// Memo.Entries and Memo.Bytes).
 	memoEntries int
+	memoBytes   int64
 	dirty       bool
 	result      *JobResult
 }
@@ -375,7 +377,9 @@ func (s *Server) explore(_ context.Context, id string) error {
 	s.metrics.explored.Add(set, res)
 	if res.Memo.Stripes > 0 {
 		j.memoEntries += res.Memo.Entries
+		j.memoBytes += res.Memo.Bytes
 		s.metrics.memoEntries.Store(int64(j.memoEntries))
+		s.metrics.memoBytes.Store(j.memoBytes)
 	}
 	rest := j.frontier.Units[len(frontier.Units):]
 	if res.Complete {

@@ -40,10 +40,12 @@ type Metrics struct {
 	// for zero threads: jobs differ in shape and /metrics reports no
 	// occupancy.
 	explored *tso.Fold
-	// memoEntries is the number of entries resident in the memo table
-	// of the job whose slice was folded last (gauge; a job's slices
-	// continue one table, so this is that job's residency so far).
+	// memoEntries and memoBytes are the entries resident in the memo
+	// table of the job whose slice was folded last and the bytes that
+	// table holds (gauges; a job's slices continue one table, so these
+	// are that job's residency so far).
 	memoEntries atomic.Int64
+	memoBytes   atomic.Int64
 
 	// slices counts pool tasks executed (plan and explore).
 	slices atomic.Int64
@@ -95,6 +97,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("tsoserve_dpor_backtracks_total", "Branches DPOR race handling added to backtrack sets.", res.Prune.DPORBacktracks)
 	counter("tsoserve_dpor_sleep_skips_total", "Branches skipped by DPOR dependence-derived sleep sets.", res.Prune.DPORSleepSkips)
 	gauge("tsoserve_memo_entries", "Memo-arena entries resident in the table of the job whose slice finished last.", float64(m.memoEntries.Load()))
+	gauge("tsoserve_memo_bytes", "Bytes held by the memo arena of the job whose slice finished last.", float64(m.memoBytes.Load()))
 	counter("tsoserve_memo_admitted_total", "Memo-arena entries admitted across all slices.", res.Memo.Admitted)
 	counter("tsoserve_memo_evicted_total", "Memo-arena entries evicted by the per-stripe FIFO clock.", res.Memo.Evicted)
 	counter("tsoserve_memo_stripe_contention_total", "Memo stripe-lock acquisitions that found the lock held.", res.Memo.Contended)

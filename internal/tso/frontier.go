@@ -285,10 +285,13 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 	if o.Prune {
 		e.memo = start.memo
 		if e.memo == nil || e.memo.scope != newMemoScope(o) {
-			e.memo = newMemoTable(o.memoStripes, o.memoLimit)
+			e.memo = newMemoTable(c, o.memoStripes, o.memoLimit)
 			e.memo.scope = newMemoScope(o)
 		}
 		memoBase = e.memo.stats()
+		e.outcomes = &e.memo.outcomes
+	} else {
+		e.outcomes = &outcomeIDs{}
 	}
 	fold := NewFold(c.Threads)
 	fold.AddBase(start)
@@ -374,7 +377,7 @@ func ExploreExhaustive(cfg Config, mkProgs func(m *Machine) []func(Context), out
 
 	var open []UnitCheckpoint
 	for _, u := range units {
-		fold.Add(OutcomeSet{Counts: u.acc.counts, MaxOccupancy: u.acc.maxOcc}, u.res)
+		fold.Add(OutcomeSet{Counts: e.outcomes.counts(u.acc.counts), MaxOccupancy: u.acc.maxOcc}, u.res)
 		if !u.complete {
 			open = append(open, UnitCheckpoint{
 				Root: u.root, RootFanout: u.rootFan,

@@ -259,25 +259,21 @@ func historyMix(h uint64, req *request, resp response) uint64 {
 }
 
 // memoEntry is the exact aggregate of one fully explored subtree: the
-// multiset of final outcomes, the number of schedules it contains, how
-// many hit the step limit, and the per-thread occupancy high-water mark
-// over the subtree's schedules. Entries are immutable once published.
-// Publishing copies the entry by value, so the published copy shares the
-// counts map and the maxOcc slice with the frame that built it: a frame
-// recycled after publishing starts from a zero acc and never writes into
-// the map or slice it published (mcRunner.newFrame).
+// multiset of final outcomes as (id, n) pairs sorted by id, the number of
+// schedules it contains, how many hit the step limit, and the per-thread
+// occupancy high-water mark over the subtree's schedules. Every schedule
+// ends in one outcome, so the counts sum to runs. A recycled frame's
+// accumulator keeps its buffers (mcRunner.newFrame); the memo arena holds
+// its own encoded copy of a published aggregate.
 type memoEntry struct {
-	counts      map[string]int
+	counts      []outcomeCount
 	runs        int64
 	stepLimited int
 	maxOcc      []int
 }
 
-func (a *memoEntry) addLeaf(outcome string, hw []int, stepLimited bool) {
-	if a.counts == nil {
-		a.counts = map[string]int{}
-	}
-	a.counts[outcome]++
+func (a *memoEntry) addLeaf(outcome uint32, hw []int, stepLimited bool) {
+	a.counts = addCount(a.counts, outcome, 1)
 	a.runs++
 	if stepLimited {
 		a.stepLimited++
@@ -287,13 +283,8 @@ func (a *memoEntry) addLeaf(outcome string, hw []int, stepLimited bool) {
 
 // fold absorbs a finished child subtree.
 func (a *memoEntry) fold(b *memoEntry) {
-	if b.counts != nil {
-		if a.counts == nil {
-			a.counts = map[string]int{}
-		}
-		for k, v := range b.counts {
-			a.counts[k] += v
-		}
+	for _, p := range b.counts {
+		a.counts = addCount(a.counts, p.id, p.n)
 	}
 	a.runs += b.runs
 	a.stepLimited += b.stepLimited
@@ -316,8 +307,9 @@ func (a *memoEntry) foldOcc(hw []int) {
 	if len(hw) == 0 {
 		return
 	}
-	if a.maxOcc == nil {
-		a.maxOcc = make([]int, len(hw))
+	if len(a.maxOcc) == 0 {
+		a.maxOcc = append(a.maxOcc, hw...)
+		return
 	}
 	for i, v := range hw {
 		if v > a.maxOcc[i] {
@@ -452,8 +444,8 @@ type mcUnit struct {
 // frames, the stacks that back the frames' variable-size bookkeeping, and
 // the sorting and footprint scratch. Each frontier worker owns exactly one
 // runner for its whole lifetime, so the steady-state exploration loop
-// constructs no machine and, outside the memo table's aggregates and new
-// witnesses, allocates nothing per run or per tree node.
+// constructs no machine and, outside the memo arena's chunks, new
+// outcomes and new witnesses, allocates nothing per run or per tree node.
 type mcRunner struct {
 	e    *mcEngine
 	m    *Machine
@@ -470,8 +462,9 @@ type mcRunner struct {
 	// reorder counts the store→load reorderings accumulated along the
 	// current schedule (bounded mode only; see MaxReorderings).
 	reorder int
-	// creditBuf is the runner-owned copy a memo hit lands in: the arena
-	// may evict the slot after the lookup, so credit never aliases it.
+	// creditBuf is the runner-owned copy a memo hit decodes into: the
+	// arena may evict the slot after the lookup, so credit never aliases
+	// it.
 	creditBuf memoEntry
 
 	// dp is the DPOR event table (events, clocks, race tables) of the
@@ -549,6 +542,9 @@ type mcEngine struct {
 	bound   int // normalized MaxReorderings (-1: unbounded)
 
 	memo *memoTable // nil unless Prune
+	// outcomes numbers the outcome strings: the memo table's when there
+	// is one, so its entries' ids stay valid across resumed legs.
+	outcomes *outcomeIDs
 
 	executed atomic.Int64 // machine runs charged against MaxRuns
 	stopped  atomic.Bool  // budget exhausted or a worker panicked
@@ -712,14 +708,15 @@ func (r *mcRunner) skipMarks(f *mcFrame) {
 
 // newFrame returns a frame for the node at depth with fanout branches,
 // below u's deepest frame: a released one when there is one, else a new
-// one. A reused frame keeps only its marks array; its acc starts zero,
-// since a published memo entry may share its old counts and maxOcc.
+// one. A reused frame keeps its marks array and its acc's buffers, which
+// it empties: publishing copied the aggregate out, so no memo entry
+// shares them.
 func (r *mcRunner) newFrame(u *mcUnit, depth, fanout int) *mcFrame {
 	var f *mcFrame
 	if k := len(r.free); k > 0 {
 		f = r.free[k-1]
 		r.free = r.free[:k-1]
-		*f = mcFrame{marks: f.marks}
+		*f = mcFrame{marks: f.marks, acc: memoEntry{counts: f.acc.counts[:0], maxOcc: f.acc.maxOcc[:0]}}
 	} else {
 		f = &mcFrame{}
 	}
@@ -1073,7 +1070,7 @@ func (e *mcEngine) runOne(r *mcRunner, u *mcUnit) {
 		}
 	}
 	r.hw = machineHWInto(m, r.hw)
-	e.accFor(u).addLeaf(o, r.hw, stepLimited)
+	e.accFor(u).addLeaf(e.outcomes.id(o), r.hw, stepLimited)
 	keepWitness(u.res.Witnesses, o, u.prefix[:r.depth])
 }
 

@@ -3,6 +3,8 @@ package tso
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -58,6 +60,26 @@ func TestMemoLimitSaturationCountsIdentical(t *testing.T) {
 	}
 	if res.Memo.Entries > 8 {
 		t.Errorf("memoLimit=8 but %d entries resident", res.Memo.Entries)
+	}
+
+	// A limit of two and a half slot chunks on a program with more than
+	// twice as many states: the FIFO clock crosses every chunk boundary
+	// and wraps from the short last chunk back to the first, so slots and
+	// their records are reused across chunks.
+	mk, out = iriwProgs()
+	cfg = Config{Threads: 4, BufferSize: 1, DrainBuffer: true}
+	want, _ = ExploreExhaustive(cfg, mk, out, ExhaustiveOptions{Prune: true})
+	const limit = 2*memoChunk + memoChunk/2
+	set, res := ExploreExhaustive(cfg, mk, out, ExhaustiveOptions{Prune: true, memoLimit: limit, memoStripes: 1})
+	if !res.Complete {
+		t.Fatal("IRIW at a multi-chunk limit: incomplete")
+	}
+	if !reflect.DeepEqual(set.Counts, want.Counts) || !reflect.DeepEqual(set.MaxOccupancy, want.MaxOccupancy) {
+		t.Errorf("IRIW at memoLimit=%d: counts %v occupancy %v, want %v %v",
+			limit, set.Counts, set.MaxOccupancy, want.Counts, want.MaxOccupancy)
+	}
+	if res.Memo.Entries != limit || res.Memo.Evicted < limit {
+		t.Errorf("IRIW at memoLimit=%d: memo %+v, want the table full and the clock wrapped", limit, res.Memo)
 	}
 }
 
@@ -175,5 +197,90 @@ func TestResumeContinuesMemoTable(t *testing.T) {
 	if _, coldRes, _ := legs(true, 4*keptRes.Runs); coldRes.Complete {
 		t.Fatalf("legs through the codec finished within %d runs (kept table: %d): the litmus no longer shows the handover",
 			coldRes.Runs, keptRes.Runs)
+	}
+}
+
+// TestMemoBytesPerEntry bounds the heap a resident memo entry keeps
+// alive. A Prune exploration of Chase-Lev with two thieves, cut by its
+// run budget, returns a checkpoint that holds the table; the heap the
+// checkpoint retains, divided by the resident entries, must stay within
+// 128 bytes, and so must the table's own Bytes gauge.
+func TestMemoBytesPerEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes include race-detector instrumentation")
+	}
+	const maxPerEntry = 128
+	mk, out := chaseLevProgs(3, 2, []int{1, 1})
+	cfg := Config{Threads: 3, BufferSize: 2}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, res := ExploreExhaustive(cfg, mk, out, ExhaustiveOptions{Prune: true, ExploreOptions: ExploreOptions{MaxRuns: 9000}})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	cp, entries := res.Checkpoint, res.Memo.Entries
+	if cp == nil || cp.memo == nil || entries < 10000 {
+		t.Fatalf("budget cut left no table of >= 10000 entries: complete %v, memo %+v", res.Complete, res.Memo)
+	}
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(cp)
+	perEntry := float64(retained) / float64(entries)
+	t.Logf("%d entries retain %d bytes, %.1f per entry; the table reports %d bytes", entries, retained, perEntry, res.Memo.Bytes)
+	if perEntry > maxPerEntry {
+		t.Errorf("memo entries retain %.1f bytes each, want at most %d", perEntry, maxPerEntry)
+	}
+	if res.Memo.Bytes <= 0 || res.Memo.Bytes > maxPerEntry*int64(entries) {
+		t.Errorf("table reports %d bytes for %d entries, want (0, %d] per entry", res.Memo.Bytes, entries, maxPerEntry)
+	}
+}
+
+// TestMemoArenaRoundTrip: a resident entry decodes to exactly the
+// aggregate published for it, whatever its number of outcomes (a record
+// longer than a record chunk included); a duplicate key keeps the first
+// entry; and a full stripe evicts exactly its oldest entries, FIFO,
+// reusing their slots and records across chunk boundaries.
+func TestMemoArenaRoundTrip(t *testing.T) {
+	const limit = memoChunk + memoChunk/2
+	tab := newMemoTable(Config{Threads: 5, BufferSize: 3, DrainBuffer: true}, 1, limit)
+	entry := func(i int) memoEntry {
+		e := memoEntry{stepLimited: i % 3, maxOcc: []int{i % 5, 4, 0, i / 5 % 5, 1}}
+		pairs := i % 4
+		if i%500 == 7 {
+			pairs = 1500
+		}
+		for j := range pairs {
+			n := int64(i + j + 1)
+			e.counts = append(e.counts, outcomeCount{id: uint32(3*j + i%2), n: n})
+			e.runs += n
+		}
+		return e
+	}
+	key := func(i int) stateKey { return keySeed.mix(uint64(i)) }
+	const total = 3 * limit
+	for i := range total {
+		e := entry(i)
+		tab.put(key(i), &e)
+	}
+	first := entry(0)
+	tab.put(key(total-1), &first)
+
+	var got memoEntry
+	for i := range total {
+		resident := i >= total-limit
+		if ok := tab.get(key(i), &got); ok != resident {
+			t.Fatalf("entry %d: found %v, want %v (FIFO over the last %d)", i, ok, resident, limit)
+		}
+		if !resident {
+			continue
+		}
+		want := entry(i)
+		if got.runs != want.runs || got.stepLimited != want.stepLimited ||
+			!slices.Equal(got.counts, want.counts) || !slices.Equal(got.maxOcc, want.maxOcc) {
+			t.Fatalf("entry %d decodes to runs %d step-limited %d occupancy %v and %d pairs, want %d %d %v and %d pairs",
+				i, got.runs, got.stepLimited, got.maxOcc, len(got.counts), want.runs, want.stepLimited, want.maxOcc, len(want.counts))
+		}
+	}
+	if st := tab.stats(); st.Entries != limit || st.Admitted != total || st.Evicted != total-limit {
+		t.Errorf("stats %+v, want %d resident, %d admitted, %d evicted", st, limit, total, total-limit)
 	}
 }
