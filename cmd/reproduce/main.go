@@ -15,9 +15,11 @@
 // sections, in table order, at the sizes -quick selects (-full has no
 // effect then); it is the only way to run an on-demand section (metrics:
 // an instrumented run with per-thread occupancy, stall and drain-latency
-// series plus per-worker steal counters). An unknown id lists the valid
-// ones. -p sets the worker-pool size for the sweeps (default GOMAXPROCS;
-// figures are byte-identical at any -p). -json writes one manifest of
+// series plus per-worker steal counters; store-buffering: sampled SB
+// litmus tallies and the hidden-store lag table on TSO[4], without and
+// with the drain stage). An unknown id lists the valid ones. -p sets the
+// worker-pool size for the sweeps (default GOMAXPROCS; figures are
+// byte-identical at any -p). -json writes one manifest of
 // every section's result to stdout instead of the text tables.
 // -cache=false disables the on-disk result cache (results/cache/ by
 // default) that lets re-runs skip already-computed sections.
@@ -212,6 +214,12 @@ var sections = []section{
 			return expt.CollectMetrics(expt.ScaledHaswell(), "timed")
 		},
 		expt.RenderMetrics),
+
+	newSection("store-buffering", "Abstract machine — store buffering and hidden-store lag", onDemandTier,
+		func(context.Context, config, *runner.Runner) ([]expt.StoreBufferingResult, error) {
+			return expt.StoreBuffering(), nil
+		},
+		expt.RenderStoreBuffering),
 }
 
 // figure7 measures the store-buffer capacity of both unscaled platforms.

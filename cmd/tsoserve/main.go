@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/runner"
 	"repro/internal/serve"
 )
 
@@ -69,7 +70,7 @@ func main() {
 	}
 	httpSrv := &http.Server{Addr: cfg.ListenAddr, Handler: srv.Handler()}
 
-	ctx, stop := serve.SignalDrain(context.Background())
+	ctx, stop := runner.SignalContext(context.Background())
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()

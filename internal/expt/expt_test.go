@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/litmus"
+	"repro/internal/tso"
 )
 
 func TestFigure1ShapeSmall(t *testing.T) {
@@ -151,5 +152,34 @@ func TestWriteTableAlignment(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "-----") {
 		t.Fatalf("missing separator: %q", lines[1])
+	}
+}
+
+// TestStoreBufferingTallies: every sampled schedule lands in exactly one
+// row of each tally, the fences rule out r0=0 r1=0, and no reader ever
+// lags the writer by more than the observable bound.
+func TestStoreBufferingTallies(t *testing.T) {
+	for _, stage := range []bool{false, true} {
+		cfg := tso.Config{Threads: 2, BufferSize: 2, DrainBuffer: stage, DrainBias: 0.1}
+		res := sampleStoreBuffering(cfg, 200)
+		sum := func(xs []int) int {
+			n := 0
+			for _, x := range xs {
+				n += x
+			}
+			return n
+		}
+		if sum(res.Unfenced[:]) != 200 || sum(res.Fenced[:]) != 200 || sum(res.Lag) != 200 {
+			t.Fatalf("stage=%v: tallies do not cover every schedule: %+v", stage, res)
+		}
+		if res.Fenced[0] != 0 {
+			t.Errorf("stage=%v: %d fenced schedules reached r0=0 r1=0", stage, res.Fenced[0])
+		}
+		if res.Unfenced[0] == 0 {
+			t.Errorf("stage=%v: no unfenced schedule reached the TSO outcome r0=0 r1=0", stage)
+		}
+		if n := res.Lag[res.Bound+1]; n != 0 {
+			t.Errorf("stage=%v: %d schedules exceed the bound %d", stage, n, res.Bound)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/litmus"
 	"repro/internal/measure"
+	"repro/internal/tso"
 )
 
 // manifestEntry writes data as a one-entry manifest, checks the envelope
@@ -104,4 +105,9 @@ func TestMatrixAndAblationJSON(t *testing.T) {
 		Schedules: 12, Complete: true, Ok: true}})
 	roundTrip(t, "ablations", []AblationRow{{Label: "x=0", Cycles: 10, Steals: 1, Aborts: 2,
 		Detail: "delta=14", Percent: 100}})
+}
+
+func TestStoreBufferingJSON(t *testing.T) {
+	cfg := tso.Config{Threads: 2, BufferSize: 2, DrainBias: 0.1}
+	roundTrip(t, "store-buffering", []StoreBufferingResult{sampleStoreBuffering(cfg, 20)})
 }

@@ -242,7 +242,7 @@ func TestIRIWForbiddenUnderTSO(t *testing.T) {
 	// Independent reads of independent writes: x86-TSO stores are
 	// multi-copy atomic, so the two readers cannot disagree on the order
 	// of the two writes. Four threads; kept out of the default Library to
-	// bound litmustool's default runtime, proved here instead.
+	// bound tsoexplore's default runtime, proved here instead.
 	tt := mustParse(t, `name: IRIW
 model: TSO
 sbuf: 1

@@ -42,6 +42,11 @@ type Result struct {
 	// state-space reduction (zero without RunOptions.Prune).
 	Tree  tso.TreeStats
 	Prune tso.PruneStats
+	// Checkpoint is the unexplored frontier when the exploration stopped
+	// before completing (MaxSchedules or Interrupt), labelled with the
+	// test's name; pass it back as RunOptions.Resume to continue. Nil
+	// when Complete.
+	Checkpoint *tso.Checkpoint
 }
 
 // Ok reports whether the verdict matches the test's expectation.
@@ -86,6 +91,14 @@ type RunOptions struct {
 	// refusal otherwise); Prune and SleepSets are superseded and
 	// auto-disabled under it.
 	DPOR bool
+	// Resume continues an exploration of this test from its Checkpoint
+	// (tso.ExhaustiveOptions.Resume). A checkpoint of another machine,
+	// reduction, reorder bound or test name is refused with an error.
+	Resume *tso.Checkpoint
+	// Interrupt stops the exploration at the next run boundary once it
+	// becomes receivable (tso.ExhaustiveOptions.Interrupt); the Result
+	// then carries a Checkpoint.
+	Interrupt <-chan struct{}
 }
 
 // program lowers t to what Run explores: the machine configuration, the
@@ -226,11 +239,19 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 		SleepSets:      opts.SleepSets,
 		MaxReorderings: opts.MaxReorderings,
 		DPOR:           opts.DPOR,
+		Label:          t.Name,
+		Resume:         opts.Resume,
+		Interrupt:      opts.Interrupt,
 	}
-	// Surface a refused configuration as an error rather than a panic
-	// out of the exploration engine.
+	// Surface a refused configuration or checkpoint as an error rather
+	// than a panic out of the exploration engine.
 	if err := eopts.Validate(cfg); err != nil {
 		return Result{}, fmt.Errorf("litmusdsl: %s: %w", t.Name, err)
+	}
+	if opts.Resume != nil {
+		if err := opts.Resume.CompatibleWithOptions(cfg, eopts); err != nil {
+			return Result{}, fmt.Errorf("litmusdsl: %s: %w", t.Name, err)
+		}
 	}
 	set, eres := tso.ExploreExhaustive(cfg, mk, outcome, eopts)
 
@@ -238,7 +259,8 @@ func Run(t *Test, opts RunOptions) (Result, error) {
 	// exactly when some witness satisfies it.
 	_, choices, witnessed := eres.FirstWitness(func(o string) bool { return condHolds(t, o) })
 	res := Result{Test: t, Witnessed: witnessed, Complete: eres.Complete, Schedules: set.Total(), Executed: eres.Runs,
-		Outcomes: set.Counts, MaxOccupancy: set.MaxOccupancy, Tree: eres.Tree, Prune: eres.Prune}
+		Outcomes: set.Counts, MaxOccupancy: set.MaxOccupancy, Tree: eres.Tree, Prune: eres.Prune,
+		Checkpoint: eres.Checkpoint}
 	switch {
 	case res.Witnessed:
 		res.Verdict = "allowed"

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -259,5 +260,18 @@ func TestSignalContextCancel(t *testing.T) {
 	case <-ctx.Done():
 	case <-time.After(time.Second):
 		t.Fatal("stop did not cancel the context")
+	}
+
+	// SIGTERM cancels it too: the signal a service manager sends. The
+	// context catches it, so the test process survives.
+	ctx, stop = SignalContext(context.Background())
+	defer stop()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("SIGTERM did not cancel the context")
 	}
 }

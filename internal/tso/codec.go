@@ -1,8 +1,8 @@
 package tso
 
 // This file is the checkpoint wire layer: the one binary format every
-// checkpoint flows through (the tsoserve spool, the tsoexplore
-// -checkpoint file, the shard wire). A frontier unit is mostly small
+// checkpoint flows through (the tsoserve spool, tsoexplore's per-test
+// -checkpoint files, the shard wire). A frontier unit is mostly small
 // integers (choice indices and fanouts), so varint packing keeps a spool
 // small enough to survive billion-schedule campaigns. The TSOF header's
 // version byte is the only format version; the decoder speaks exactly the

@@ -26,7 +26,7 @@ type Checkpoint struct {
 	BufferSize  int
 	Model       string
 	DrainBuffer bool
-	// Label is an optional caller tag (tsoexplore stamps its phase name)
+	// Label is an optional caller tag (litmusdsl.Run stamps the test name)
 	// checked at resume when both sides set one, so two explorations
 	// spooling under one path prefix cannot silently swap frontiers.
 	Label string
@@ -190,14 +190,14 @@ var (
 	// ErrResumeDPOR: the checkpoint's DPOR mode differs from the
 	// resuming options'.
 	ErrResumeDPOR = errors.New("tso: checkpoint DPOR mode mismatch")
-	// ErrResumeLabel: both sides carry a phase label and they differ.
+	// ErrResumeLabel: both sides carry a label and they differ.
 	ErrResumeLabel = errors.New("tso: checkpoint label mismatch")
 )
 
 // CompatibleWithOptions reports whether the checkpoint can be resumed
 // under the configuration and exploration options: the same thread
 // count, buffer size, memory model and drain stage, the reorder bound
-// the frontier was pruned under, the same DPOR mode, and the same phase
+// the frontier was pruned under, the same DPOR mode, and the same
 // label when both sides carry one. It is the one resume check:
 // ExploreExhaustive panics on its error, and callers holding externally
 // supplied checkpoints (a spool directory, a wire request) call it first

@@ -144,7 +144,7 @@ type ExhaustiveOptions struct {
 
 	// Label is an optional tag stamped into checkpoints this exploration
 	// writes and checked against Resume's (when both are non-empty) — the
-	// guard that keeps two phases spooling under one path prefix from
+	// guard that keeps two explorations spooling under one path prefix from
 	// silently swapping frontiers.
 	Label string
 
