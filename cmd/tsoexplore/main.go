@@ -103,7 +103,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := checkMode(fs, *fuzz > 0); err != nil {
+	if err := checkMode(fs, *fuzz > 0, *list); err != nil {
 		logger.Print(err)
 		return 2
 	}
@@ -248,20 +248,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // checkMode refuses flags the chosen mode would ignore: the litmus flags
-// and file arguments under -fuzz, and -seed and -runs without it.
-func checkMode(fs *flag.FlagSet, fuzz bool) error {
+// and file arguments under -fuzz, the other litmus flags and file
+// arguments under -list, and -seed and -runs without -fuzz.
+func checkMode(fs *flag.FlagSet, fuzz, list bool) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		switch {
 		case err != nil:
 		case fuzz && litmusOnly[f.Name]:
 			err = fmt.Errorf("-%s has no effect with -fuzz", f.Name)
+		case list && litmusOnly[f.Name] && f.Name != "list":
+			err = fmt.Errorf("-%s has no effect with -list", f.Name)
 		case !fuzz && (f.Name == "seed" || f.Name == "runs"):
 			err = fmt.Errorf("-%s has no effect without -fuzz", f.Name)
 		}
 	})
-	if err == nil && fuzz && fs.NArg() > 0 {
+	switch {
+	case err != nil || fs.NArg() == 0:
+	case fuzz:
 		err = fmt.Errorf("-fuzz runs no .litmus files (got %q)", fs.Arg(0))
+	case list:
+		err = fmt.Errorf("-list runs no .litmus files (got %q)", fs.Arg(0))
 	}
 	return err
 }

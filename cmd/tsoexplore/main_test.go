@@ -281,7 +281,8 @@ func TestSpoolNamesMustBePlainAndDistinct(t *testing.T) {
 
 // TestFuzzRefusesIgnoredFlags: every litmus-mode flag, and a file
 // argument, is refused under -fuzz with exit 2 and the offending flag
-// named; -seed and -runs are refused without -fuzz.
+// named; so is every other litmus flag, and a file argument, under
+// -list; -seed and -runs are refused without -fuzz.
 func TestFuzzRefusesIgnoredFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -297,6 +298,16 @@ func TestFuzzRefusesIgnoredFlags(t *testing.T) {
 		{[]string{"-fuzz", "2", "-reorder", "1"}, "-reorder"},
 		{[]string{"-fuzz", "2", "-checkpoint", "x"}, "-checkpoint"},
 		{[]string{"-fuzz", "2", "a.litmus"}, "a.litmus"},
+		{[]string{"-list", "-max", "10"}, "-max"},
+		{[]string{"-list", "-v"}, "-v"},
+		{[]string{"-list", "-witness"}, "-witness"},
+		{[]string{"-list", "-par", "2"}, "-par"},
+		{[]string{"-list", "-prune"}, "-prune"},
+		{[]string{"-list", "-dpor"}, "-dpor"},
+		{[]string{"-list", "-reorder", "1"}, "-reorder"},
+		{[]string{"-list", "-checkpoint", "x"}, "-checkpoint"},
+		{[]string{"-list", "x.litmus"}, "x.litmus"},
+		{[]string{"-list", "-prune", "x.litmus"}, "-prune"},
 		{[]string{"-seed", "3"}, "-seed"},
 		{[]string{"-runs", "3"}, "-runs"},
 		{[]string{"-dpor", "-reorder", "1"}, "-dpor with -reorder"},

@@ -70,6 +70,33 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestServingCellTimedCheck serves one reference-platform cell (8
+// threads, S=11, the drain stage; FF-CL, fork/join, saturating arrivals)
+// with the timed engine's self-check on, which recomputes every step's
+// thread and every drain by full scans and panics on a disagreement. The
+// checked run must also equal an unchecked one.
+func TestServingCellTimedCheck(t *testing.T) {
+	cfg := ReferenceSweep().Cfg
+	opt := sched.Options{Algo: core.AlgoFFCL, Delta: core.DefaultDelta(cfg.ObservableBound()), Victim: sched.VictimUniform, BatchSteal: 1, Seed: 5}
+	wl := Workload{Requests: 256, MeanGap: 200, Burst: 4, Fanout: 6, Grain: 64, RootWork: 32, Seed: 5}
+	prev := tso.SetTimedCheck(true)
+	got, err := Run(cfg, opt, wl)
+	tso.SetTimedCheck(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(cfg, opt, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("checked run differs from unchecked:\n%+v\n%+v", got, want)
+	}
+	if got.Sched.Steals == 0 {
+		t.Fatal("the cell stole nothing; it exercises too little of the scheduler")
+	}
+}
+
 // TestRunCapabilityGate is the regression test for the queue-contract
 // check: Run must gate on the ExactlyOnce capability predicate, not on a
 // hard-coded algorithm list, so every algorithm in the registry —

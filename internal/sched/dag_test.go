@@ -118,7 +118,11 @@ func TestQuickRandomDAGs(t *testing.T) {
 	}
 }
 
+// TestQuickRandomDAGsTimedEngine runs random DAGs on the timed engine
+// with its self-check on (tso.SetTimedCheck), so every step's thread and
+// every drain is also recomputed by full scans.
 func TestQuickRandomDAGsTimedEngine(t *testing.T) {
+	defer tso.SetTimedCheck(tso.SetTimedCheck(true))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		root, nodes := genDAG(r, 60)

@@ -275,8 +275,10 @@ func NewPool(m Machine, opts Options) *Pool {
 	for i := range p.rngs {
 		// Distinct deterministic per-worker streams: a worker's victim
 		// and dither sequence depends only on (Seed, i), never on how
-		// the workers' steal attempts interleave.
-		p.rngs[i] = rand.New(rand.NewSource(opts.Seed + int64(i)*0x6A09E667F3BCC909))
+		// the workers' steal attempts interleave. The streams are
+		// math/rand's, but the source seeds lazily: a worker that draws
+		// a few victims computes only the register words it reads.
+		p.rngs[i] = rand.New(tso.NewRandSource(opts.Seed + int64(i)*0x6A09E667F3BCC909))
 	}
 	if opts.BatchSteal > 1 {
 		p.loot = make([][]uint64, n)

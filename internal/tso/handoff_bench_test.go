@@ -68,9 +68,11 @@ func BenchmarkHandoff(b *testing.B) {
 	})
 }
 
-// BenchmarkMachineRun measures whole-run overhead on a small SB-shaped
-// program — the cost every explored schedule pays around its handful of
-// simulated operations.
+// BenchmarkMachineRun measures whole-run overhead: on a small SB-shaped
+// program, the cost every explored schedule pays around its handful of
+// simulated operations; and on a reused timed machine shaped like the
+// serving cells' platform (8 threads, S=11, drain stage), the machine
+// step every Figure 10/11 run and serving cell pays per operation.
 func BenchmarkMachineRun(b *testing.B) {
 	prog0 := func(x, y Addr) func(Context) {
 		return func(c Context) { c.Store(x, 1); c.Load(y) }
@@ -96,6 +98,36 @@ func BenchmarkMachineRun(b *testing.B) {
 			m.Reset()
 			m.Alloc(2) // re-reserve the words the reset rewound
 			if err := m.Run(p0, p1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("timed", func(b *testing.B) {
+		const threads = 8
+		m := NewTimedMachine(Config{Threads: threads, BufferSize: 11, DrainBuffer: true})
+		defer m.Close()
+		var words Addr
+		progs := make([]func(Context), threads)
+		for tid := range progs {
+			progs[tid] = func(c Context) {
+				// Each thread reads the threads' words in turn, as a
+				// worker polls its own deque and its victims', writes
+				// its own, and computes for an uneven grain, so the
+				// min-clock order and the drains interleave the
+				// threads unevenly.
+				for i := 0; i < 32; i++ {
+					c.Load(words + Addr((tid+i)%threads))
+					c.Store(words+Addr(tid), uint64(i))
+					c.Work(uint64(16 + 8*((tid+i)%4)))
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Reset()
+			words = m.Alloc(threads)
+			if err := m.Run(progs...); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -51,14 +51,13 @@ type Machine struct {
 	cfg  Config
 	mem  *memory
 	bufs []*storeBuffer
-	rng  *rand.Rand
 	next Addr
 
-	// rngStale defers the RNG reseed a Reset implies until the first draw:
-	// seeding math/rand's source regenerates its whole 607-word feedback
-	// state (microseconds), which would dominate Reset for the
-	// deterministic engines that never draw.
-	rngStale bool
+	// rng is the chaos scheduler's RNG (nil on a timed machine). Its
+	// source fills math/rand's 607-word register lazily (see
+	// NewRandSource), so the reseed at every Reset costs a few stores
+	// even on the deterministic engines that never draw.
+	rng *rand.Rand
 
 	stats Stats
 	met   *MachineMetrics // non-nil iff Config.Metrics
@@ -225,7 +224,7 @@ func NewMachine(cfg Config) *Machine {
 	// sweep measured ~20% slower on a 2-CPU host, its GC mark phases
 	// lengthened. Only the memory's header is allocated here; its pages
 	// come with the run's first writes.
-	m := &Machine{mem: newMemory(), rng: rand.New(rand.NewSource(c.Seed))}
+	m := &Machine{mem: newMemory(), rng: rand.New(NewRandSource(c.Seed))}
 	m.init(c, c.BufferSize, c.DrainBuffer, &chaosPolicy{})
 	return m
 }
@@ -307,7 +306,9 @@ func (m *Machine) Reset() {
 	m.steps = 0
 	m.opSeq = 0
 	m.stats = Stats{}
-	m.rngStale = m.rng != nil
+	if m.rng != nil {
+		m.rng.Seed(m.cfg.Seed)
+	}
 	if m.met != nil {
 		m.resetMetrics()
 	}
@@ -318,17 +319,6 @@ func (m *Machine) Reset() {
 func (m *Machine) ResetSeed(seed int64) {
 	m.cfg.Seed = seed
 	m.Reset()
-}
-
-// rand returns the chaos scheduler's RNG, reseeding it first if a Reset
-// left it stale. Only the chaos policy draws, so machines under a
-// deterministic policy never pay for the seed.
-func (m *Machine) rand() *rand.Rand {
-	if m.rngStale {
-		m.rng.Seed(m.cfg.Seed)
-		m.rngStale = false
-	}
-	return m.rng
 }
 
 // Close releases the machine's pooled worker goroutines. It must not be

@@ -54,7 +54,7 @@ func (bufferedPolicy) drainLatency(m *Machine, e entry) uint64 { return uint64(m
 
 // chaosPolicy samples schedules under a seeded RNG with a configurable
 // drain bias — the adversarial engine behind the litmus grids. It draws
-// from the machine's RNG via m.rand(), which reseeds lazily after Reset.
+// from the machine's RNG, m.rng, which every Reset reseeds.
 type chaosPolicy struct {
 	bufferedPolicy
 
@@ -70,7 +70,7 @@ func (p *chaosPolicy) next(m *Machine) action {
 		a := action{drain: true, id: k}
 		if pso {
 			el := m.bufs[k].eligibleDrains()
-			a.idx = el[m.rand().Intn(len(el))]
+			a.idx = el[m.rng.Intn(len(el))]
 		}
 		return a
 	}
@@ -89,10 +89,10 @@ func (p *chaosPolicy) pickDrain(m *Machine) (int, bool) {
 	if len(drainable) == 0 {
 		return 0, false
 	}
-	if m.rand().Float64() >= m.cfg.DrainBias {
+	if m.rng.Float64() >= m.cfg.DrainBias {
 		return 0, false
 	}
-	return drainable[m.rand().Intn(len(drainable))], true
+	return drainable[m.rng.Intn(len(drainable))], true
 }
 
 func (p *chaosPolicy) pickRunnable(m *Machine) int {
@@ -103,7 +103,7 @@ func (p *chaosPolicy) pickRunnable(m *Machine) int {
 		}
 	}
 	p.runnable = runnable
-	return runnable[m.rand().Intn(len(runnable))]
+	return runnable[m.rng.Intn(len(runnable))]
 }
 
 // chooserPolicy replaces random scheduling with deterministic enumeration:

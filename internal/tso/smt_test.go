@@ -2,6 +2,10 @@ package tso
 
 import "testing"
 
+// The SMT tests run with the timed self-check on (SetTimedCheck): issue
+// moves the core clock a thread shares with its sibling, which must not
+// change the sibling's scheduling key.
+
 func TestSMTNeedsEvenThreads(t *testing.T) {
 	if _, err := (Config{Threads: 3, BufferSize: 2, SMT: true}).withDefaults(); err == nil {
 		t.Fatal("odd SMT thread count accepted")
@@ -9,6 +13,7 @@ func TestSMTNeedsEvenThreads(t *testing.T) {
 }
 
 func TestSMTSerializesIssueOnOneCore(t *testing.T) {
+	defer SetTimedCheck(SetTimedCheck(true))
 	// Two hyperthreads each doing 100 cycles of pure work share one core:
 	// makespan ~200 instead of ~100.
 	m := NewTimedMachine(Config{Threads: 2, BufferSize: 4, SMT: true, Cost: testCost})
@@ -33,6 +38,7 @@ func TestSMTSerializesIssueOnOneCore(t *testing.T) {
 }
 
 func TestSMTDistinctCoresDoNotShare(t *testing.T) {
+	defer SetTimedCheck(SetTimedCheck(true))
 	m := NewTimedMachine(Config{Threads: 4, BufferSize: 4, SMT: true, Cost: testCost})
 	err := m.Run(
 		func(c Context) { c.Work(100) },
@@ -52,6 +58,7 @@ func TestSMTDistinctCoresDoNotShare(t *testing.T) {
 // consumes no core issue, so the sibling runs during it — the pair
 // finishes sooner than the sum of their serialized work.
 func TestSMTHidesFenceStall(t *testing.T) {
+	defer SetTimedCheck(SetTimedCheck(true))
 	// Thread 0: store (drains at 10) then fence (waits ~9 cycles, then 2
 	// issue cycles). Thread 1: 9 cycles of work, which fit entirely into
 	// the stall window.
@@ -85,6 +92,7 @@ func TestSMTHidesFenceStall(t *testing.T) {
 // microbenchmark scale: the relative gain from removing a fence is
 // smaller with a busy hyperthread sibling than without one.
 func TestSMTFenceBenefitShrinks(t *testing.T) {
+	defer SetTimedCheck(SetTimedCheck(true))
 	run := func(smt, fenced bool) uint64 {
 		threads := 2
 		m := NewTimedMachine(Config{Threads: threads, BufferSize: 8, SMT: smt, Cost: testCost})

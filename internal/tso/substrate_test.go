@@ -153,8 +153,14 @@ func TestResetEquivalence(t *testing.T) {
 }
 
 // TestResetEquivalenceTimed is the timed-engine counterpart, additionally
-// comparing the virtual-cycle makespan.
+// comparing the virtual-cycle makespan and every thread's cycles. The
+// run before the Reset either completes, or ends abnormally with stores
+// still buffered and clocks advanced: in a ProgramPanic, or in an
+// engine panic that Run re-raises before its end-of-run flush. The
+// timed self-check is on, so a policy state the abnormal end left stale
+// panics in the measured run.
 func TestResetEquivalenceTimed(t *testing.T) {
+	defer SetTimedCheck(SetTimedCheck(true))
 	for seed := int64(0); seed < 6; seed++ {
 		cfg := Config{Threads: 2, BufferSize: 5, DrainBuffer: seed%2 == 0, Metrics: true}
 		words := fuzzWords + cfg.Threads
@@ -168,34 +174,94 @@ func TestResetEquivalenceTimed(t *testing.T) {
 		}
 		want := snapshotOf(&fresh.Machine, image)
 		wantElapsed := fresh.Elapsed()
+		wantCycles := []uint64{fresh.ThreadCycles(0), fresh.ThreadCycles(1)}
 		fresh.Close()
 
-		reused := NewTimedMachine(cfg)
-		dirtyBase := reused.Alloc(words + 3)
-		pokeFar(&reused.Machine, reused.Alloc(farWords+9), 1000)
-		if err := reused.Run(fuzzProgs(seed+1000, cfg.Threads, dirtyBase)...); err != nil {
-			t.Fatalf("seed %d: dirty run: %v", seed, err)
-		}
-		reused.Reset()
-		if reused.Elapsed() != 0 {
-			t.Fatalf("seed %d: Reset left Elapsed at %d", seed, reused.Elapsed())
-		}
-		reused.Alloc(words)
-		pokeFar(&reused.Machine, reused.Alloc(farWords), 100)
-		if err := reused.Run(fuzzProgs(seed, cfg.Threads, base)...); err != nil {
-			t.Fatalf("seed %d: reused run: %v", seed, err)
-		}
-		got := snapshotOf(&reused.Machine, image)
-		gotElapsed := reused.Elapsed()
-		reused.Close()
+		for _, dirty := range []string{"complete", "program panic", "engine panic"} {
+			reused := NewTimedMachine(cfg)
+			dirtyBase := reused.Alloc(words + 3)
+			pokeFar(&reused.Machine, reused.Alloc(farWords+9), 1000)
+			switch dirty {
+			case "complete":
+				if err := reused.Run(fuzzProgs(seed+1000, cfg.Threads, dirtyBase)...); err != nil {
+					t.Fatalf("seed %d: dirty run: %v", seed, err)
+				}
+			case "program panic":
+				buffered := 0
+				end := func() {
+					buffered = reused.bufs[0].occupancy()
+					panic("dirty")
+				}
+				var pp *ProgramPanic
+				if err := reused.Run(abnormalProgs(dirtyBase, end)...); !errors.As(err, &pp) {
+					t.Fatalf("seed %d: dirty run returned %v, want a ProgramPanic", seed, err)
+				}
+				if buffered == 0 {
+					t.Fatalf("seed %d: thread 0 panicked with no store buffered", seed)
+				}
+			case "engine panic":
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("seed %d: dirty run did not panic", seed)
+						}
+					}()
+					// A clock past what the policy can key panics in
+					// the engine at the thread's next step.
+					_ = reused.Run(abnormalProgs(dirtyBase, func() {})...)
+				}()
+				if reused.bufs[0].empty() && reused.bufs[1].empty() {
+					t.Fatalf("seed %d: the engine panic left no store buffered", seed)
+				}
+			}
+			reused.Reset()
+			if reused.Elapsed() != 0 {
+				t.Fatalf("seed %d, %s: Reset left Elapsed at %d", seed, dirty, reused.Elapsed())
+			}
+			reused.Alloc(words)
+			pokeFar(&reused.Machine, reused.Alloc(farWords), 100)
+			if err := reused.Run(fuzzProgs(seed, cfg.Threads, base)...); err != nil {
+				t.Fatalf("seed %d, %s: reused run: %v", seed, dirty, err)
+			}
+			got := snapshotOf(&reused.Machine, image)
+			gotElapsed := reused.Elapsed()
+			gotCycles := []uint64{reused.ThreadCycles(0), reused.ThreadCycles(1)}
+			reused.Close()
 
-		if d := want.diff(got); d != "" {
-			t.Fatalf("seed %d: reset timed machine diverged: %s", seed, d)
-		}
-		if wantElapsed != gotElapsed {
-			t.Fatalf("seed %d: makespan differs: fresh %d, reset %d", seed, wantElapsed, gotElapsed)
+			if d := want.diff(got); d != "" {
+				t.Fatalf("seed %d, %s: reset timed machine diverged: %s", seed, dirty, d)
+			}
+			if wantElapsed != gotElapsed {
+				t.Fatalf("seed %d, %s: makespan differs: fresh %d, reset %d", seed, dirty, wantElapsed, gotElapsed)
+			}
+			if !reflect.DeepEqual(wantCycles, gotCycles) {
+				t.Fatalf("seed %d, %s: thread cycles differ: fresh %v, reset %v", seed, dirty, wantCycles, gotCycles)
+			}
 		}
 	}
+}
+
+// abnormalProgs is a two-thread program that ends a timed run
+// abnormally: both threads buffer stores and advance their clocks, then
+// thread 0 calls end while its stores are still buffered, and unless
+// end panics, charges work past the largest virtual time the timed
+// policy can schedule and posts one more load.
+func abnormalProgs(base Addr, end func()) []func(Context) {
+	progs := make([]func(Context), 2)
+	for tid := range progs {
+		progs[tid] = func(c Context) {
+			for i := 0; i < 4; i++ {
+				c.Store(base+Addr(tid*4+i), uint64(100+i))
+				c.Work(3)
+			}
+			if tid == 0 {
+				end()
+				c.Work(1 << 63)
+			}
+			c.Load(base)
+		}
+	}
+	return progs
 }
 
 // TestResetSeedEquivalence proves ResetSeed reproduces the schedule a

@@ -2,6 +2,8 @@ package tso
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -313,5 +315,52 @@ func TestTimedZeroWorkIsFree(t *testing.T) {
 	}
 	if got := m.Elapsed(); got != 0 {
 		t.Fatalf("elapsed=%d want 0", got)
+	}
+}
+
+// TestTimedCheckCatchesStaleState proves the self-check compares: a
+// thread key or a buffer head corrupted from inside a simulated thread
+// (one thread runs at a time, so the write is race-free) must make the
+// checked Run panic at the next step or drain check.
+func TestTimedCheckCatchesStaleState(t *testing.T) {
+	defer SetTimedCheck(SetTimedCheck(true))
+	cases := []struct {
+		name, want string
+		corrupt    func(p *timedPolicy)
+	}{
+		// Thread 1 has worked to cycle 100; keying it at 0 makes next
+		// pick it over thread 0, whose clock is lower.
+		{"stale key", "next picked", func(p *timedPolicy) { p.keys[1] = p.key(0, 1) }},
+		// Thread 1's store drains at cycle 10; hiding it would make
+		// the drain check at thread 0's later operations skip a due
+		// drain.
+		{"stale head", "buffer 1 head", func(p *timedPolicy) { p.heads[1], p.earliest = idle, idle }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewTimedMachine(Config{Threads: 2, BufferSize: 4, Cost: testCost})
+			defer m.Close()
+			x := m.Alloc(1)
+			defer func() {
+				if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "timed check: "+c.want) {
+					t.Fatalf("Run panicked with %v, want a timed check failure: %s", v, c.want)
+				}
+			}()
+			_ = m.Run(
+				func(ctx Context) {
+					for i := 0; i < 3; i++ {
+						ctx.Load(x) // thread 1 stores and starts its work meanwhile
+					}
+					c.corrupt(m.tp)
+					ctx.Work(20)
+					ctx.Load(x)
+				},
+				func(ctx Context) {
+					ctx.Store(x, 1)
+					ctx.Work(100)
+					ctx.Load(x)
+				},
+			)
+		})
 	}
 }
