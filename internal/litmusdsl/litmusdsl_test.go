@@ -358,3 +358,34 @@ func TestPruneExecutedDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestLitmusAllocs bounds the allocations of a whole litmus proof per
+// executed run: SB on the unreduced engine, warmed by AllocsPerRun's
+// first call. A run's registers live in per-machine slots and its
+// outcome is rendered into scratch and interned, so what is left is the
+// test's lowering, the engine and the machine, spread over the runs:
+// measured 178 allocations over 1408 runs (0.13 per run). The bound,
+// 0.5, fails on one more allocation per run.
+func TestLitmusAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	tst, err := Parse(Library[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	allocs := testing.AllocsPerRun(1, func() {
+		if res, err = Run(tst, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !res.Complete || !res.Ok() {
+		t.Fatalf("%s: complete %v, verdict %s", tst.Name, res.Complete, res.Verdict)
+	}
+	perRun := allocs / float64(res.Executed)
+	t.Logf("%s: %.0f allocations over %d runs, %.3f per run", tst.Name, allocs, res.Executed, perRun)
+	if perRun > 0.5 {
+		t.Errorf("%s: %.3f allocations per executed run, want at most 0.5", tst.Name, perRun)
+	}
+}

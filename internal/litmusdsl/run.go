@@ -3,7 +3,9 @@ package litmusdsl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/tso"
 )
@@ -136,90 +138,154 @@ func program(t *Test) (tso.Config, func(m *tso.Machine) []func(tso.Context), fun
 	varNames := sortedKeys(vars)
 
 	// Address layout: one word per variable, then one result word per
-	// (proc, register), offset by +1 so "never written" is distinguishable
-	// if a test reads an unassigned register. Alloc hands out addresses
-	// deterministically, so the layout is computed once up front and the
-	// factory below only reads it — which is what makes it safe to run on
-	// the exhaustive engine's concurrent workers.
+	// (proc, register) in name order, offset by +1 so "never written" is
+	// distinguishable if a test reads an unassigned register. Alloc hands
+	// out addresses deterministically, so the layout is computed once up
+	// front and the factory below only reads it — which is what makes it
+	// safe to run on the exhaustive engine's concurrent workers. Each
+	// statement is lowered here too, its variable to an address and its
+	// register to a slot, so a run reads no map.
 	varAddr := map[string]tso.Addr{}
-	next := tso.Addr(0)
+	var init []uint64
+	var fields []field
 	for _, v := range varNames {
-		varAddr[v] = next
-		next++
+		varAddr[v] = tso.Addr(len(init))
+		init = append(init, t.Init[v])
 	}
-	regAddr := make([]map[string]tso.Addr, len(t.Procs))
-	regNames := make([][]string, len(t.Procs))
-	for pi := range t.Procs {
-		regAddr[pi] = map[string]tso.Addr{}
-		regNames[pi] = sortedKeys(regsPerProc[pi])
-		for _, r := range regNames[pi] {
-			regAddr[pi][r] = next
-			next++
+	next := tso.Addr(len(init))
+	procs := make([]proc, len(t.Procs))
+	for pi, stmts := range t.Procs {
+		names := sortedKeys(regsPerProc[pi])
+		slot := map[string]int{}
+		for i, r := range names {
+			slot[r] = i
+			fields = append(fields, field{label: fmt.Sprintf("P%d.%s=", pi, r), addr: next + tso.Addr(i), bias: 1})
 		}
+		pr := proc{regBase: next, regs: len(names)}
+		for _, s := range stmts {
+			pr.ops = append(pr.ops, op{kind: s.Kind, addr: varAddr[s.Var], reg: slot[s.Reg], val: s.Val, old: s.Old})
+		}
+		procs[pi] = pr
+		next += tso.Addr(len(names))
+	}
+	for _, v := range varNames {
+		fields = append(fields, field{label: v + "=", addr: varAddr[v]})
+	}
+	words := int(next)
+
+	// Each machine gets its own thread programs, register slots and
+	// outcome scratch, built on its first run: a warmed run allocates
+	// nothing.
+	var mu sync.Mutex
+	rigs := map[*tso.Machine]*rig{}
+	rigFor := func(m *tso.Machine) *rig {
+		mu.Lock()
+		defer mu.Unlock()
+		r := rigs[m]
+		if r == nil {
+			r = &rig{progs: make([]func(tso.Context), len(procs))}
+			for pi := range procs {
+				r.progs[pi] = procs[pi].program()
+			}
+			rigs[m] = r
+		}
+		return r
 	}
 
 	mk := func(m *tso.Machine) []func(tso.Context) {
-		for _, v := range varNames {
-			a := m.Alloc(1)
-			if a != varAddr[v] {
-				panic("litmusdsl: address layout drifted from Alloc order")
-			}
-			m.Poke(a, t.Init[v])
+		if m.Alloc(words) != 0 {
+			panic("litmusdsl: address layout drifted from Alloc order")
 		}
-		for pi := range t.Procs {
-			for range sortedKeys(regsPerProc[pi]) {
-				m.Alloc(1)
-			}
+		for i, v := range init {
+			m.Poke(tso.Addr(i), v)
 		}
-		progs := make([]func(tso.Context), len(t.Procs))
-		for pi := range t.Procs {
-			pi := pi
-			stmts := t.Procs[pi]
-			progs[pi] = func(c tso.Context) {
-				regs := map[string]uint64{}
-				for _, s := range stmts {
-					switch s.Kind {
-					case StmtStore:
-						c.Store(varAddr[s.Var], s.Val)
-					case StmtLoad:
-						regs[s.Reg] = c.Load(varAddr[s.Var])
-					case StmtFence:
-						c.Fence()
-					case StmtCAS:
-						if _, ok := c.CAS(varAddr[s.Var], s.Old, s.Val); ok {
-							regs[s.Reg] = 1
-						} else {
-							regs[s.Reg] = 0
-						}
-					}
-				}
-				// Publish registers (+1 so zero-valued registers are
-				// distinguishable from never-run); flushed at run end. The
-				// order is fixed (sorted by name): map order would change
-				// the store-buffer contents from run to run, and with them
-				// the states the memo dedups and the executed count.
-				for _, r := range regNames[pi] {
-					c.Store(regAddr[pi][r], regs[r]+1)
-				}
-			}
-		}
-		return progs
+		return rigFor(m).progs
 	}
 
 	outcome := func(m *tso.Machine) string {
-		s := ""
-		for pi := range t.Procs {
-			for _, r := range sortedKeys(regsPerProc[pi]) {
-				s += fmt.Sprintf("P%d.%s=%d ", pi, r, m.Peek(regAddr[pi][r])-1)
-			}
+		r := rigFor(m)
+		b := r.buf[:0]
+		for _, f := range fields {
+			b = strconv.AppendUint(append(b, f.label...), m.Peek(f.addr)-f.bias, 10)
+			b = append(b, ' ')
 		}
-		for _, v := range varNames {
-			s += fmt.Sprintf("%s=%d ", v, m.Peek(varAddr[v]))
+		r.buf = b
+		if s, ok := r.interned[string(b)]; ok {
+			return s
 		}
+		if r.interned == nil {
+			r.interned = map[string]string{}
+		}
+		s := string(b)
+		r.interned[s] = s
 		return s
 	}
 
 	return tso.Config{Threads: len(t.Procs), BufferSize: t.SBuf, Model: t.Model}, mk, outcome, nil
+}
+
+// op is a statement lowered to its address and register slot.
+type op struct {
+	kind     StmtKind
+	addr     tso.Addr
+	reg      int
+	val, old uint64
+}
+
+// proc is one process lowered: its ops, and its registers' result words
+// from regBase, one per slot.
+type proc struct {
+	ops     []op
+	regBase tso.Addr
+	regs    int
+}
+
+// program returns a thread program for pr with its own register slots,
+// for one machine: the slots are cleared at each run's start, and the
+// registers are published (+1 so zero-valued registers are
+// distinguishable from never-run) in slot order, which is name order —
+// a varying order would change the store-buffer contents from run to
+// run, and with them the states the memo dedups and the executed count.
+func (pr proc) program() func(tso.Context) {
+	regs := make([]uint64, pr.regs)
+	return func(c tso.Context) {
+		clear(regs)
+		for _, o := range pr.ops {
+			switch o.kind {
+			case StmtStore:
+				c.Store(o.addr, o.val)
+			case StmtLoad:
+				regs[o.reg] = c.Load(o.addr)
+			case StmtFence:
+				c.Fence()
+			case StmtCAS:
+				if _, ok := c.CAS(o.addr, o.old, o.val); ok {
+					regs[o.reg] = 1
+				} else {
+					regs[o.reg] = 0
+				}
+			}
+		}
+		for i, v := range regs {
+			c.Store(pr.regBase+tso.Addr(i), v+1)
+		}
+	}
+}
+
+// rig is one machine's thread programs and outcome scratch: the rendered
+// outcome and the strings it has interned.
+type rig struct {
+	progs    []func(tso.Context)
+	buf      []byte
+	interned map[string]string
+}
+
+// field is one term of the rendered outcome: label, then the word at
+// addr less bias.
+type field struct {
+	label string
+	addr  tso.Addr
+	bias  uint64
 }
 
 // Run explores every schedule of the test on the abstract machine and

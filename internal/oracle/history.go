@@ -95,11 +95,23 @@ func (e Event) String() string {
 // included, and starts the threads in tid order. The events recorded
 // before the first operation therefore arrive in a fixed order too, and
 // replaying a schedule records the same events in the same order. A
-// History must not be shared between concurrently executing runs.
+// History must not be shared between concurrently executing runs, and
+// is checked by one goroutine at a time: a Spec's Check works in the
+// history's scratch.
+//
+// Reset keeps every allocation, so a history reused run after run on
+// one machine (Scenario.Outcomes keeps one per machine) records, judges
+// and renders its verdict without allocating once warmed.
 type History struct {
 	events  []Event
 	prefill []uint64
 	drained bool
+
+	scratch verdictScratch
+	// rig is what a Scenario's Build keeps across the runs recorded into
+	// this history: Program.Scenario's queue and thread programs, built
+	// by the first of those runs and re-armed by each later one.
+	rig any
 }
 
 // NewHistory returns an empty per-run history.
@@ -145,7 +157,8 @@ func (h *History) Events() []Event { return h.events }
 // Prefilled returns the tasks recorded by RecordPrefill.
 func (h *History) Prefilled() []uint64 { return h.prefill }
 
-// Reset empties the history for reuse by a subsequent run.
+// Reset empties the history for reuse by a subsequent run, keeping its
+// backing arrays, its verdict scratch and the Build's rig.
 func (h *History) Reset() {
 	h.events = h.events[:0]
 	h.prefill = h.prefill[:0]

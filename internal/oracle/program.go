@@ -64,61 +64,121 @@ func (p Program) Spec() Spec {
 	return SpecFor(p.Algo)
 }
 
-// Scenario compiles the program into a runnable oracle scenario. The
-// returned Build is safe for the exhaustive engine's parallel workers:
-// every call constructs a fresh queue recording into the given history.
+// Scenario compiles the program into a runnable oracle scenario. Its
+// Build is safe for the exhaustive engine's parallel workers, which run
+// distinct machines. The first run recorded into a history builds the
+// program — queue, instrumented wrapper, prefill values, thread
+// programs — and keeps that rig on the history. Every later run into the
+// same history re-arms the rig instead: it reserves the words the first
+// build did, at the same addresses, so the machine's state is what a
+// fresh build would leave, and re-installs the prefill through the
+// wrapper, which records into that history. The queue holds only
+// addresses, so this needs nothing of the machine but that its
+// allocator starts where it did for the first build: Reset it between
+// the runs, as every engine does. Outcomes keeps one history per
+// machine, so each of its machines builds once; FindCounterexample and
+// Replay record each run into a new history and build afresh.
 func (p Program) Scenario() Scenario {
 	capacity := p.Capacity
 	if capacity == 0 {
 		capacity = 64
 	}
+	owner := &p
 	return Scenario{
 		Name:   p.String(),
 		Config: p.Config(),
 		Build: func(m *tso.Machine, h *History) []func(tso.Context) {
-			q := Instrument(core.New(p.Algo, m, capacity, p.Delta), h)
-			if p.Prefill > 0 {
-				vals := make([]uint64, p.Prefill)
-				for i := range vals {
-					vals[i] = uint64(i + 1)
-				}
-				q.Prefill(m, vals)
+			r, _ := h.rig.(*programRig)
+			if r == nil || r.owner != owner {
+				r = owner.build(m, h, capacity)
+				h.rig = r
+			} else if m.Alloc(r.words) != r.base {
+				panic("oracle: a reused Program build must start where its first build did (Reset the machine between runs)")
+			}
+			if len(r.prefill) > 0 {
+				r.q.Prefill(m, r.prefill)
 			}
 			if p.Drain {
 				h.ExpectDrained()
 			}
-			progs := make([]func(tso.Context), 0, 1+len(p.Thieves))
-			progs = append(progs, func(c tso.Context) {
-				next := uint64(p.Prefill)
-				for _, op := range p.WorkerOps {
-					if op == 'P' {
-						next++
-						q.Put(c, next)
-					} else {
-						q.Take(c)
-					}
-				}
-				if p.Drain {
-					for {
-						if _, st := q.Take(c); st == core.Empty {
-							break
-						}
-					}
-				}
-			})
-			for _, attempts := range p.Thieves {
-				n := attempts
-				progs = append(progs, func(c tso.Context) {
-					for k := 0; k < n; k++ {
-						if _, st := q.Steal(c); st == core.Empty {
-							break
-						}
-					}
-				})
-			}
-			return progs
+			return r.progs
 		},
 	}
+}
+
+// programRig is a Program built for one history's runs: its queue's
+// reserved words, the instrumented queue, the prefill values and the
+// thread programs, which read nothing per run but the queue.
+type programRig struct {
+	owner   *Program
+	base    tso.Addr
+	words   int
+	q       *Instrumented
+	prefill []uint64
+	progs   []func(tso.Context)
+}
+
+// build constructs the program's rig on m, recording into h; the caller
+// arms it for the run.
+func (p *Program) build(m *tso.Machine, h *History, capacity int) *programRig {
+	a := &countingAlloc{Machine: m}
+	r := &programRig{owner: p, q: Instrument(core.New(p.Algo, a, capacity, p.Delta), h)}
+	r.base, r.words = a.base, a.words
+	if p.Prefill > 0 {
+		r.prefill = make([]uint64, p.Prefill)
+		for i := range r.prefill {
+			r.prefill[i] = uint64(i + 1)
+		}
+	}
+	q := r.q
+	r.progs = append(r.progs, func(c tso.Context) {
+		next := uint64(p.Prefill)
+		for _, op := range p.WorkerOps {
+			if op == 'P' {
+				next++
+				q.Put(c, next)
+			} else {
+				q.Take(c)
+			}
+		}
+		if p.Drain {
+			for {
+				if _, st := q.Take(c); st == core.Empty {
+					break
+				}
+			}
+		}
+	})
+	for _, attempts := range p.Thieves {
+		n := attempts
+		r.progs = append(r.progs, func(c tso.Context) {
+			for k := 0; k < n; k++ {
+				if _, st := q.Steal(c); st == core.Empty {
+					break
+				}
+			}
+		})
+	}
+	return r
+}
+
+// countingAlloc reserves on its machine and notes the first address and
+// the number of words reserved. It keeps the machine's Config, which
+// WS-MULT reads to size its announce array.
+type countingAlloc struct {
+	*tso.Machine
+	base  tso.Addr
+	words int
+}
+
+// Alloc implements tso.Allocator.
+func (a *countingAlloc) Alloc(n int) tso.Addr {
+	base := a.Machine.Alloc(n)
+	if a.words == 0 {
+		a.base = base
+	}
+	a.words += n
+	return base
 }
 
 // decode limits: the fuzzers keep programs tiny so sampled or explored

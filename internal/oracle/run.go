@@ -8,18 +8,20 @@ import (
 
 // Scenario is one oracle-checked workload: a machine configuration plus a
 // factory that builds the per-thread programs recording into a history
-// the caller supplies. Build is invoked once per explored schedule
-// (concurrently on distinct machines when the exhaustive engine runs
-// parallel workers), so it must construct fresh per-run state — queue,
-// task counters — on every call and must not write captured shared
-// state. The history arrives empty; Build records into it and does not
-// keep it past the run.
+// the caller supplies. Build is invoked once per explored schedule, on a
+// machine Reset since its last run (concurrently on distinct machines
+// when the exhaustive engine runs parallel workers), so it must not
+// write captured shared state. The history arrives empty of events. A
+// Build may build afresh on every call or, like Program.Scenario's,
+// keep what it builds with the history and re-arm it when the same
+// history comes back, so the history's owner decides how long a build
+// lives. Build does not keep the history itself past the run.
 type Scenario struct {
 	// Name identifies the scenario in reports and corpus files.
 	Name string
 	// Config is the machine configuration the scenario runs under.
 	Config tso.Config
-	// Build allocates the scenario on m and returns one program per
+	// Build sets the scenario up on m and returns one program per
 	// configured thread, wired to record the run's events into h.
 	Build func(m *tso.Machine, h *History) []func(tso.Context)
 }
@@ -30,14 +32,21 @@ type Scenario struct {
 // engine's parallel workers; callers that drive tso.ExploreExhaustive,
 // tso.ShardFrontier, or a resumed shard directly (the verification
 // service's dispatcher) get verdict bucketing identical to Run's.
+//
+// The pair owns one history per machine it is called on, and with it
+// everything a Build keeps there, so a reusing Build builds once per
+// machine and what it keeps lives exactly as long as the pair. Each
+// exploration should therefore take a new pair, as Run does, rather
+// than one long-lived pair that would keep every machine it has seen.
 func (sc Scenario) Outcomes(spec Spec) (mk func(m *tso.Machine) []func(tso.Context), out func(m *tso.Machine) string) {
 	if spec == nil {
 		spec = Precise{}
 	}
 	// The engines call mk and out for the same run on the same worker and
 	// machine, one run at a time per machine. Each machine therefore owns
-	// one history for the pair's lifetime, reset at every mk and read by
-	// the out that follows; its event backing is reused across the runs.
+	// one history for the pair's lifetime, reset at every mk and judged
+	// by the out that follows; its event backing, verdict scratch and
+	// the Build's rig are reused across the runs.
 	var mu sync.Mutex
 	hists := map[*tso.Machine]*History{}
 	mk = func(m *tso.Machine) []func(tso.Context) {
@@ -55,7 +64,7 @@ func (sc Scenario) Outcomes(spec Spec) (mk func(m *tso.Machine) []func(tso.Conte
 		mu.Lock()
 		h := hists[m]
 		mu.Unlock()
-		return RenderVerdict(spec.Check(h))
+		return h.verdict(spec)
 	}
 	return mk, out
 }

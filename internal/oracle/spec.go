@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -98,29 +100,9 @@ type Precise struct{}
 func (Precise) Name() string { return "precise" }
 
 // Check implements Spec.
-func (Precise) Check(h *History) []Violation {
-	puts, removals, viols := tally(h)
-	for task, r := range removals {
-		p := puts[task]
-		switch {
-		case p == 0:
-			viols = append(viols, Violation{Verdict: VerdictPhantom, Task: task, Thread: -1,
-				Detail: fmt.Sprintf("removed %dx but never put", r)})
-		case r > p:
-			viols = append(viols, Violation{Verdict: VerdictDuplicate, Task: task, Thread: -1,
-				Detail: fmt.Sprintf("removed %dx for %d put(s)", r, p)})
-		}
-	}
-	if h.Drained() {
-		for task, p := range puts {
-			if removals[task] < p {
-				viols = append(viols, Violation{Verdict: VerdictLost, Task: task, Thread: -1,
-					Detail: fmt.Sprintf("put %dx, removed %dx, queue drained", p, removals[task])})
-			}
-		}
-	}
-	return sortViolations(viols)
-}
+func (s Precise) Check(h *History) []Violation { return h.check(s.rule()) }
+
+func (Precise) rule() taskRule { return taskRule{exact: true} }
 
 // Idempotent is Michael et al.'s at-least-once relaxation (the paper's
 // §8.2 comparators, and the multiplicity relaxation of Castañeda & Piña):
@@ -133,24 +115,9 @@ type Idempotent struct{}
 func (Idempotent) Name() string { return "idempotent" }
 
 // Check implements Spec.
-func (Idempotent) Check(h *History) []Violation {
-	puts, removals, viols := tally(h)
-	for task, r := range removals {
-		if puts[task] == 0 {
-			viols = append(viols, Violation{Verdict: VerdictPhantom, Task: task, Thread: -1,
-				Detail: fmt.Sprintf("removed %dx but never put", r)})
-		}
-	}
-	if h.Drained() {
-		for task, p := range puts {
-			if removals[task] == 0 {
-				viols = append(viols, Violation{Verdict: VerdictLost, Task: task, Thread: -1,
-					Detail: fmt.Sprintf("put %dx, never removed, queue drained", p)})
-			}
-		}
-	}
-	return sortViolations(viols)
-}
+func (s Idempotent) Check(h *History) []Violation { return h.check(s.rule()) }
+
+func (Idempotent) rule() taskRule { return taskRule{} }
 
 // Multiplicity is the bounded-duplicates relaxation of Castañeda & Piña:
 // Idempotent's contract (no phantoms, no losses on a drained run) plus a
@@ -169,39 +136,58 @@ type Multiplicity struct {
 // Name implements Spec.
 func (s Multiplicity) Name() string { return fmt.Sprintf("multiplicity(k=%d)", s.K) }
 
-// budget is the allowed removal count for a task put p times.
-func (s Multiplicity) budget(p int) int {
-	k := s.K
-	if k < 1 {
-		k = 1
-	}
-	return p * k
+// Check implements Spec.
+func (s Multiplicity) Check(h *History) []Violation { return h.check(s.rule()) }
+
+func (s Multiplicity) rule() taskRule { return taskRule{perPut: max(s.K, 1)} }
+
+// taskRule is what tells the built-in specs apart. Each judges a task
+// from its put and removal counts alone and flags at most one violation
+// per task; a removal of a task never put is a phantom under all three.
+type taskRule struct {
+	// exact makes removals beyond the puts duplicates, and on a drained
+	// run a task removed fewer times than put lost (Precise). Otherwise
+	// a drained run loses only the tasks never removed.
+	exact bool
+	// perPut, when positive, bounds a task's removals at perPut per put
+	// (Multiplicity).
+	perPut int
 }
 
-// Check implements Spec.
-func (s Multiplicity) Check(h *History) []Violation {
-	puts, removals, viols := tally(h)
-	for task, r := range removals {
-		p := puts[task]
-		switch {
-		case p == 0:
-			viols = append(viols, Violation{Verdict: VerdictPhantom, Task: task, Thread: -1,
-				Detail: fmt.Sprintf("removed %dx but never put", r)})
-		case r > s.budget(p):
-			viols = append(viols, Violation{Verdict: VerdictDupBound, Task: task, Thread: -1,
-				Bound:  s.budget(p),
-				Detail: fmt.Sprintf("removed %dx for %d put(s), budget %d", r, p, s.budget(p))})
-		}
+// judge returns the violation, if any, of a task put p and removed r
+// times, without its Detail.
+func (rl taskRule) judge(task uint64, p, r int, drained bool) (Violation, bool) {
+	v := Violation{Task: task, Thread: -1}
+	switch {
+	case p == 0:
+		v.Verdict = VerdictPhantom
+	case rl.exact && r > p:
+		v.Verdict = VerdictDuplicate
+	case rl.perPut > 0 && r > p*rl.perPut:
+		v.Verdict, v.Bound = VerdictDupBound, p*rl.perPut
+	case drained && (r == 0 || rl.exact && r < p):
+		v.Verdict = VerdictLost
+	default:
+		return v, false
 	}
-	if h.Drained() {
-		for task, p := range puts {
-			if removals[task] == 0 {
-				viols = append(viols, Violation{Verdict: VerdictLost, Task: task, Thread: -1,
-					Detail: fmt.Sprintf("put %dx, never removed, queue drained", p)})
-			}
-		}
+	return v, true
+}
+
+// detail elaborates a violation judge found on a task put p and removed
+// r times.
+func (rl taskRule) detail(v Violation, p, r int) string {
+	switch {
+	case v.Verdict == VerdictPhantom:
+		return fmt.Sprintf("removed %dx but never put", r)
+	case v.Verdict == VerdictDuplicate:
+		return fmt.Sprintf("removed %dx for %d put(s)", r, p)
+	case v.Verdict == VerdictDupBound:
+		return fmt.Sprintf("removed %dx for %d put(s), budget %d", r, p, v.Bound)
+	case rl.exact:
+		return fmt.Sprintf("put %dx, removed %dx, queue drained", p, r)
+	default:
+		return fmt.Sprintf("put %dx, never removed, queue drained", p)
 	}
-	return sortViolations(viols)
 }
 
 // SpecFor returns the specification the algorithm is expected to meet:
@@ -216,69 +202,145 @@ func SpecFor(a core.Algo) Spec {
 	return Precise{}
 }
 
-// tally folds a history into its order-insensitive facts: how often each
-// task was put (prefill included) and removed, plus any torn-interleaving
-// violations found by per-thread begin/end matching.
-func tally(h *History) (puts, removals map[uint64]int, viols []Violation) {
-	puts = map[uint64]int{}
-	removals = map[uint64]int{}
-	for _, t := range h.Prefilled() {
-		puts[t]++
+// verdictScratch is the working memory a history's verdicts reuse, so a
+// warmed verdict allocates nothing: the task values put and removed,
+// each thread's open operation, the violations found, and the rendered
+// verdict with its interned strings.
+type verdictScratch struct {
+	puts, removals []uint64
+	open           []Event
+	viols          []Violation
+	buf            []byte
+	interned       map[string]string
+}
+
+// check judges h under rl into a slice the caller owns (nil when the run
+// satisfies the spec): the Spec.Check of every built-in spec.
+func (h *History) check(rl taskRule) []Violation {
+	viols := h.judge(rl, true)
+	if len(viols) == 0 {
+		return nil
 	}
-	open := map[int]Event{}
-	for _, e := range h.Events() {
+	return append([]Violation(nil), viols...)
+}
+
+// verdict renders spec's verdict on h, as RenderVerdict(spec.Check(h))
+// does. A built-in spec judges in h's scratch without details and
+// returns an interned string, so a warmed verdict allocates nothing.
+func (h *History) verdict(spec Spec) string {
+	s, ok := spec.(interface{ rule() taskRule })
+	if !ok {
+		return RenderVerdict(spec.Check(h))
+	}
+	viols := h.judge(s.rule(), false)
+	if len(viols) == 0 {
+		return "ok"
+	}
+	sc := &h.scratch
+	sc.buf = appendVerdict(sc.buf[:0], viols)
+	if v, ok := sc.interned[string(sc.buf)]; ok {
+		return v
+	}
+	if sc.interned == nil {
+		sc.interned = map[string]string{}
+	}
+	v := string(sc.buf)
+	sc.interned[v] = v
+	return v
+}
+
+// judge folds h into its order-insensitive facts — how often each task
+// was put (prefill included) and removed, and each thread's begin/end
+// matching — and returns rl's violations plus the torn interleavings,
+// sorted canonically, in h's scratch (valid until the next judge).
+func (h *History) judge(rl taskRule, detail bool) []Violation {
+	sc := &h.scratch
+	puts := append(sc.puts[:0], h.prefill...)
+	removals, open, viols := sc.removals[:0], sc.open[:0], sc.viols[:0]
+	// Torn interleavings come only from broken instrumentation: too rare
+	// for the boxing of their detail arguments to matter.
+	torn := func(thread int, format string, kinds ...any) {
+		v := Violation{Verdict: VerdictTorn, Thread: thread}
+		if detail {
+			v.Detail = fmt.Sprintf(format, kinds...)
+		}
+		viols = append(viols, v)
+	}
+	for _, e := range h.events {
+		i := slices.IndexFunc(open, func(o Event) bool { return o.Thread == e.Thread })
 		if e.Begin {
-			if prev, ok := open[e.Thread]; ok {
-				viols = append(viols, Violation{Verdict: VerdictTorn, Task: 0, Thread: e.Thread,
-					Detail: fmt.Sprintf("%s begins inside open %s", e.Kind, prev.Kind)})
+			if i < 0 {
+				open = append(open, e)
+			} else {
+				torn(e.Thread, "%s begins inside open %s", e.Kind, open[i].Kind)
+				open[i] = e
 			}
-			open[e.Thread] = e
 			continue
 		}
-		prev, ok := open[e.Thread]
 		switch {
-		case !ok:
-			viols = append(viols, Violation{Verdict: VerdictTorn, Task: 0, Thread: e.Thread,
-				Detail: fmt.Sprintf("%s ends without beginning", e.Kind)})
-		case prev.Kind != e.Kind:
-			viols = append(viols, Violation{Verdict: VerdictTorn, Task: 0, Thread: e.Thread,
-				Detail: fmt.Sprintf("%s ends inside open %s", e.Kind, prev.Kind)})
-			delete(open, e.Thread)
+		case i < 0:
+			torn(e.Thread, "%s ends without beginning", e.Kind)
+		case open[i].Kind != e.Kind:
+			torn(e.Thread, "%s ends inside open %s", e.Kind, open[i].Kind)
+			open = slices.Delete(open, i, i+1)
 		default:
-			delete(open, e.Thread)
+			open = slices.Delete(open, i, i+1)
 		}
 		switch {
 		case e.Kind == OpPut:
-			puts[e.Task]++
+			puts = append(puts, e.Task)
 		case e.Status == core.OK:
-			removals[e.Task]++
+			removals = append(removals, e.Task)
 		}
 	}
-	for tid, e := range open {
-		viols = append(viols, Violation{Verdict: VerdictTorn, Task: 0, Thread: tid,
-			Detail: fmt.Sprintf("%s never ends", e.Kind)})
+	for _, e := range open {
+		torn(e.Thread, "%s never ends", e.Kind)
 	}
-	return puts, removals, viols
+	// Walk the sorted task values, one group per task.
+	slices.Sort(puts)
+	slices.Sort(removals)
+	for i, j := 0, 0; i < len(puts) || j < len(removals); {
+		var task uint64
+		if j == len(removals) || i < len(puts) && puts[i] <= removals[j] {
+			task = puts[i]
+		} else {
+			task = removals[j]
+		}
+		p, r := 0, 0
+		for ; i < len(puts) && puts[i] == task; i++ {
+			p++
+		}
+		for ; j < len(removals) && removals[j] == task; j++ {
+			r++
+		}
+		if v, bad := rl.judge(task, p, r, h.drained); bad {
+			if detail {
+				v.Detail = rl.detail(v, p, r)
+			}
+			viols = append(viols, v)
+		}
+	}
+	sortViolations(viols)
+	sc.puts, sc.removals, sc.open, sc.viols = puts, removals, open, viols
+	return viols
 }
 
 // sortViolations orders violations canonically (verdict, then task, then
 // thread, then detail) so a rendered verdict string is a deterministic,
 // order-insensitive function of the history's facts.
-func sortViolations(viols []Violation) []Violation {
-	sort.Slice(viols, func(i, j int) bool {
-		a, b := viols[i], viols[j]
-		if a.Verdict != b.Verdict {
-			return a.Verdict < b.Verdict
+func sortViolations(viols []Violation) {
+	slices.SortFunc(viols, func(a, b Violation) int {
+		if c := cmp.Compare(a.Verdict, b.Verdict); c != 0 {
+			return c
 		}
-		if a.Task != b.Task {
-			return a.Task < b.Task
+		if c := cmp.Compare(a.Task, b.Task); c != 0 {
+			return c
 		}
-		if a.Thread != b.Thread {
-			return a.Thread < b.Thread
+		if c := cmp.Compare(a.Thread, b.Thread); c != 0 {
+			return c
 		}
-		return a.Detail < b.Detail
+		return strings.Compare(a.Detail, b.Detail)
 	})
-	return viols
 }
 
 // RenderVerdict collapses a violation list into the canonical outcome
@@ -289,16 +351,26 @@ func RenderVerdict(viols []Violation) string {
 	if len(viols) == 0 {
 		return "ok"
 	}
-	parts := make([]string, 0, len(viols))
-	for _, v := range viols {
+	return string(appendVerdict(nil, viols))
+}
+
+// appendVerdict appends RenderVerdict's form of a non-empty violation
+// list to buf.
+func appendVerdict(buf []byte, viols []Violation) []byte {
+	for i, v := range viols {
+		if i > 0 {
+			buf = append(buf, "; "...)
+		}
 		switch v.Verdict {
 		case VerdictTorn:
-			parts = append(parts, fmt.Sprintf("torn th%d", v.Thread))
+			buf = strconv.AppendInt(append(buf, "torn th"...), int64(v.Thread), 10)
+			continue
 		case VerdictDupBound:
-			parts = append(parts, fmt.Sprintf("dup>%d t%d", v.Bound, v.Task))
+			buf = strconv.AppendInt(append(buf, "dup>"...), int64(v.Bound), 10)
 		default:
-			parts = append(parts, fmt.Sprintf("%s t%d", v.Verdict, v.Task))
+			buf = append(buf, v.Verdict.String()...)
 		}
+		buf = strconv.AppendUint(append(buf, " t"...), v.Task, 10)
 	}
-	return strings.Join(parts, "; ")
+	return buf
 }

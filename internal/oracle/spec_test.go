@@ -216,18 +216,40 @@ func TestCheckerVerdictTable(t *testing.T) {
 			wantIdempotent: "lost t1; phantom t7",
 			wantMult:       "lost t1; phantom t7",
 		},
+		{
+			name:    "verdict class sorts before task",
+			drained: true,
+			prefill: []uint64{1, 2},
+			steps: cat(
+				op(0, OpTake, 1, core.OK),
+				op(1, OpSteal, 1, core.OK),
+			),
+			// duplicate t1 and lost t2: the class order puts the higher
+			// task first.
+			wantPrecise:    "lost t2; duplicate t1",
+			wantIdempotent: "lost t2",
+			wantMult:       "lost t2",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := mkHist(tc.drained, tc.prefill, tc.steps)
-			if got := RenderVerdict(Precise{}.Check(h)); got != tc.wantPrecise {
-				t.Errorf("precise: got %q want %q", got, tc.wantPrecise)
-			}
-			if got := RenderVerdict(Idempotent{}.Check(h)); got != tc.wantIdempotent {
-				t.Errorf("idempotent: got %q want %q", got, tc.wantIdempotent)
-			}
-			if got := RenderVerdict(Multiplicity{K: 2}.Check(h)); got != tc.wantMult {
-				t.Errorf("multiplicity(k=2): got %q want %q", got, tc.wantMult)
+			for _, c := range []struct {
+				spec Spec
+				want string
+			}{
+				{Precise{}, tc.wantPrecise},
+				{Idempotent{}, tc.wantIdempotent},
+				{Multiplicity{K: 2}, tc.wantMult},
+			} {
+				if got := RenderVerdict(c.spec.Check(h)); got != c.want {
+					t.Errorf("%s: got %q want %q", c.spec.Name(), got, c.want)
+				}
+				// The verdict Outcomes renders skips the details and
+				// interns the string; it must read the same.
+				if got := h.verdict(c.spec); got != c.want {
+					t.Errorf("%s: Outcomes' verdict %q want %q", c.spec.Name(), got, c.want)
+				}
 			}
 		})
 	}

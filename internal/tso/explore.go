@@ -208,11 +208,9 @@ func ExploreWithChoices(cfg Config, mkProgs func(m *Machine) []func(Context), op
 	// memory arena, buffer allocation, goroutine spawns) per schedule.
 	c := cfg
 	c.MaxSteps = opts.MaxStepsPerRun
-	m := NewMachine(c)
-	defer m.Close()
-	// Swap the chaos policy for deterministic enumeration: replay the
-	// recorded prefix, then take the first untried branch.
-	m.pol = &chooserPolicy{choose: func(acts []action) int {
+	// Deterministic enumeration: replay the recorded prefix, then take
+	// the first untried branch.
+	m := newChooserMachine(c, &chooserPolicy{choose: func(acts []action) int {
 		n := len(acts)
 		if depth < len(prefix) {
 			if depth < len(fanout) && fanout[depth] != n {
@@ -229,7 +227,8 @@ func ExploreWithChoices(cfg Config, mkProgs func(m *Machine) []func(Context), op
 		fanout = append(fanout, n)
 		depth++
 		return 0
-	}}
+	}})
+	defer m.Close()
 
 	for {
 		depth = 0
@@ -286,10 +285,8 @@ func ReplaySchedule(cfg Config, mkProgs func(m *Machine) []func(Context), choice
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 100_000
 	}
-	m := NewMachine(c)
-	defer m.Close()
 	depth := 0
-	m.pol = &chooserPolicy{choose: func(acts []action) int {
+	m := newChooserMachine(c, &chooserPolicy{choose: func(acts []action) int {
 		i := 0
 		if depth < len(choices) {
 			i = choices[depth]
@@ -302,7 +299,8 @@ func ReplaySchedule(cfg Config, mkProgs func(m *Machine) []func(Context), choice
 		}
 		depth++
 		return i
-	}}
+	}})
+	defer m.Close()
 	progs := mkProgs(m)
 	err := m.Run(progs...)
 	if visit != nil {

@@ -472,7 +472,7 @@ func (e *mcEngine) frontier() *Checkpoint {
 		}
 		if pm == nil {
 			c.MaxSteps = e.opts.MaxStepsPerRun
-			pm = NewMachine(c)
+			pm = newChooserMachine(c, &chooserPolicy{})
 		}
 		fan := e.probeFanout(pm, p.root, p.fan)
 		if fan < 2 {

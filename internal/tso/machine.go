@@ -53,10 +53,10 @@ type Machine struct {
 	bufs []*storeBuffer
 	next Addr
 
-	// rng is the chaos scheduler's RNG (nil on a timed machine). Its
-	// source fills math/rand's 607-word register lazily (see
-	// NewRandSource), so the reseed at every Reset costs a few stores
-	// even on the deterministic engines that never draw.
+	// rng is the chaos scheduler's RNG (nil on a timed machine and on
+	// the deterministic engines' chooser machines). Its source fills
+	// math/rand's 607-word register lazily (see NewRandSource), so the
+	// reseed at every Reset costs a few stores.
 	rng *rand.Rand
 
 	stats Stats
@@ -226,6 +226,20 @@ func NewMachine(cfg Config) *Machine {
 	// come with the run's first writes.
 	m := &Machine{mem: newMemory(), rng: rand.New(NewRandSource(c.Seed))}
 	m.init(c, c.BufferSize, c.DrainBuffer, &chaosPolicy{})
+	return m
+}
+
+// newChooserMachine builds a machine for the deterministic engines, which
+// pick every action through pol. It carries no chaos RNG, whose source
+// alone is about 5 KB: pol never draws, and Reset reseeds only a machine
+// that has one.
+func newChooserMachine(cfg Config, pol *chooserPolicy) *Machine {
+	c, err := cfg.withDefaults()
+	if err != nil {
+		panic(err)
+	}
+	m := &Machine{mem: newMemory()}
+	m.init(c, c.BufferSize, c.DrainBuffer, pol)
 	return m
 }
 

@@ -502,8 +502,9 @@ type mcRunner struct {
 func (e *mcEngine) newRunner() *mcRunner {
 	c := e.cfg
 	c.MaxSteps = e.opts.MaxStepsPerRun
-	r := &mcRunner{e: e, m: NewMachine(c), pol: &chooserPolicy{}}
+	r := &mcRunner{e: e, pol: &chooserPolicy{}}
 	r.pol.choose = r.choose
+	r.m = newChooserMachine(c, r.pol)
 	if e.opts.Prune {
 		// Each rolling history hash starts from a nonzero seed and mixes
 		// a fixed-width record per request: a zero seed under a mixer with
@@ -529,7 +530,6 @@ func (e *mcEngine) newRunner() *mcRunner {
 			r.dporStep(len(r.dp.events), action{drain: true, id: tid}, true)
 		}
 	}
-	r.m.pol = r.pol
 	return r
 }
 
